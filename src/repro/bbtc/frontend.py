@@ -11,8 +11,8 @@ and the actual path, exactly as the TC model does at uop granularity.
 Two implementations share this class: ``_run_flat`` (default) is one
 fused loop over the columnar trace arrays with inlined predictors and
 tuple-payload blocks, plus an XBC-style queue-stall fast-forward;
-``_run_reference`` is the original object-per-cycle code, kept behind
-``REPRO_REFERENCE_FRONTEND=1`` as the behavioural oracle.  Both
+``_run_reference`` is the original object-per-cycle code, kept as the
+behavioural oracle the differential tests call directly.  Both
 produce bit-identical :class:`FrontendStats`.
 """
 
@@ -26,7 +26,7 @@ from repro.branch.indirect import IndirectPredictor
 from repro.branch.rsb import ReturnStackBuffer
 from repro.bbtc.config import BbtcConfig
 from repro.frontend.base import FrontendModel, UopFlow
-from repro.frontend.build_engine import BuildEngine, reference_frontends_enabled
+from repro.frontend.build_engine import BuildEngine
 from repro.frontend.config import FrontendConfig
 from repro.frontend.flat_engine import make_flat_predictors
 from repro.frontend.icache import InstructionCache
@@ -106,8 +106,6 @@ class BbtcFrontend(FrontendModel):
         self, trace: Trace, cycle_log: Optional[List[int]] = None
     ) -> FrontendStats:
         """Simulate the trace through block cache + trace table."""
-        if reference_frontends_enabled():
-            return self._run_reference(trace, cycle_log)
         return self._run_flat(trace, cycle_log)
 
     # ------------------------------------------------------------------

@@ -7,15 +7,11 @@ so the repository accumulates a perf trajectory alongside its results.
 
 Machine-to-machine comparability comes from a calibration loop: every
 report embeds the score of a fixed pure-Python workload measured in the
-same process, and :func:`compare_to_baseline` rescales the baseline's
-throughput by the calibration ratio before applying the regression
-gate.  A 30% gate on calibrated throughput catches real slowdowns
-without tripping on CI machines that are merely slower overall.
+same process, and the ``repro perf`` registry gates each phase on its
+calibrated throughput (see :mod:`repro.perf`).
 """
 
 from repro.bench.harness import (
-    REGRESSION_TOLERANCE,
-    compare_to_baseline,
     format_report,
     resolve_phases,
     run_bench,
@@ -29,8 +25,6 @@ from repro.bench.serve import (
 )
 
 __all__ = [
-    "REGRESSION_TOLERANCE",
-    "compare_to_baseline",
     "format_report",
     "format_serve_bench",
     "format_serve_load",

@@ -24,11 +24,6 @@ from repro.program.generator import generate_program
 from repro.program.profiles import profile_for_suite
 from repro.trace.executor import execute_program
 
-#: Allowed calibrated-throughput drop before the gate fails (30%).
-#: Baselines may tighten or relax this per phase with a ``tolerance``
-#: key inside the phase entry.
-REGRESSION_TOLERANCE = 0.30
-
 #: Report schema version (bump when the JSON layout changes).
 #: 2: added ``phase_list`` and ``cpu_affinity``; phases are filterable.
 #: 3: added ``timestamp`` (UTC ISO-8601); ``rev`` carries a ``-dirty``
@@ -352,39 +347,3 @@ def format_report(report: dict) -> str:
             f"{phase['uops_per_sec']:>12,.0f} uops/s"
         )
     return "\n".join(lines)
-
-
-def compare_to_baseline(
-    report: dict,
-    baseline: dict,
-    tolerance: float = REGRESSION_TOLERANCE,
-) -> List[str]:
-    """Regression check; returns failure messages (empty = pass).
-
-    The baseline's throughput is rescaled by the calibration ratio so
-    a slower CI machine does not read as a code regression; a phase
-    fails when its calibrated throughput drops more than the tolerance.
-    A baseline phase may carry its own ``tolerance`` key (phases with
-    more timing variance get a wider band), which overrides the global
-    *tolerance* argument for that phase.
-    """
-    failures: List[str] = []
-    base_cal = baseline.get("calibration_ops_per_sec") or 0
-    cur_cal = report.get("calibration_ops_per_sec") or 0
-    scale = (cur_cal / base_cal) if base_cal and cur_cal else 1.0
-    for name, base_phase in baseline.get("phases", {}).items():
-        phase = report.get("phases", {}).get(name)
-        if phase is None:
-            failures.append(f"{name}: present in baseline, missing from run")
-            continue
-        phase_tolerance = base_phase.get("tolerance", tolerance)
-        expected = base_phase["uops_per_sec"] * scale
-        actual = phase["uops_per_sec"]
-        if actual < expected * (1.0 - phase_tolerance):
-            failures.append(
-                f"{name}: {actual:,.0f} uops/s < "
-                f"{expected * (1.0 - phase_tolerance):,.0f} "
-                f"(baseline {base_phase['uops_per_sec']:,.0f} x "
-                f"calibration {scale:.2f}, tolerance {phase_tolerance:.0%})"
-            )
-    return failures

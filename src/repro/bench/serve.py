@@ -33,7 +33,7 @@ import random
 import tempfile
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 #: Default worker-count stages for ``--serve-load`` (the scaling
 #: table: single-worker baseline, then 2x and 4x sharded pools).
@@ -132,8 +132,16 @@ def _load_stage(
     warm_pool: int,
     queue_size: int,
     cache_dir: str,
+    cold_steps: Iterator[int],
 ) -> Dict[str, object]:
-    """Drive one worker-count stage to saturation; returns its report."""
+    """Drive one worker-count stage to saturation; returns its report.
+
+    *cold_steps* numbers the cold requests.  It is shared by every stage
+    of a ladder so no stage repeats a cold length an earlier stage
+    already simulated: the in-memory trace cache of an inline stage
+    outlives its server, and forked worker processes of later stages
+    inherit it.
+    """
     from repro.exec.engine import ExecPolicy
     from repro.serve.app import BackgroundServer, build_app
     from repro.serve.client import (
@@ -177,12 +185,11 @@ def _load_stage(
         # Cold traffic: every request gets a never-seen-before job key
         # by stretching the trace length (index is range-capped by the
         # protocol, length is not) — each cold submit really simulates.
-        cold_counter = itertools.count(1)
         counter_lock = threading.Lock()
 
         def next_cold_request() -> Dict[str, Any]:
             with counter_lock:
-                step = next(cold_counter)
+                step = next(cold_steps)
             request = dict(warm_requests[0])
             request["length"] = length + step
             return request
@@ -322,6 +329,7 @@ def run_serve_load(
             f"worker counts must be positive integers, got {counts}"
         )
     stages: List[Dict[str, object]] = []
+    cold_steps = itertools.count(1)
     for workers in counts:
         with tempfile.TemporaryDirectory(
             prefix="repro-serve-load-"
@@ -331,6 +339,7 @@ def run_serve_load(
                 length=length, total_uops=total_uops,
                 warm_fraction=warm_fraction, warm_pool=warm_pool,
                 queue_size=queue_size, cache_dir=cache_dir,
+                cold_steps=cold_steps,
             ))
     baseline = stages[0]["requests_per_sec"] or 1.0
     for stage in stages:

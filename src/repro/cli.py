@@ -264,9 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also cProfile one xbc run, dump stats to FILE")
     p.add_argument("--out", metavar="DIR", default=".",
                    help="directory for BENCH_<rev>.json (default .)")
-    p.add_argument("--baseline", metavar="FILE", default=None,
-                   help="compare against a baseline report; exit 1 on "
-                   ">30%% calibrated-throughput regression")
     p.add_argument("--serve", action="store_true",
                    help="also measure serve-mode request latency "
                    "(cold + warm p50/p95 over HTTP)")
@@ -578,12 +575,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             save_trace(trace, path)
             print(f"{path}: {trace.describe()}")
     elif args.command == "bench":
-        from repro.bench import (
-            compare_to_baseline,
-            format_report,
-            run_bench,
-            write_report,
-        )
+        from repro.bench import format_report, run_bench, write_report
 
         try:
             load_workers = None
@@ -628,17 +620,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"[perf] recorded {report['rev']} into {args.registry}")
         if args.profile:
             print(f"[profile written to {args.profile}]")
-        if args.baseline:
-            import json as _json
-
-            with open(args.baseline, "r", encoding="utf-8") as handle:
-                baseline = _json.load(handle)
-            failures = compare_to_baseline(report, baseline)
-            if failures:
-                for failure in failures:
-                    print(f"REGRESSION {failure}", file=sys.stderr)
-                return 1
-            print(f"[no regression vs {args.baseline}]")
     elif args.command == "info":
         import json as _json
 

@@ -18,7 +18,6 @@ list available lazily as :attr:`BuildCycle.records`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -38,18 +37,6 @@ from repro.isa.instruction import (
     KIND_IS_BRANCH,
 )
 from repro.trace.record import DynInstr, Trace
-
-
-def reference_frontends_enabled() -> bool:
-    """Whether ``REPRO_REFERENCE_FRONTEND`` selects the original paths.
-
-    The IC/DC/TC/BBTC frontends each keep their pre-flat implementation
-    as ``_run_reference``; setting the variable to anything but ``""``
-    or ``"0"`` routes ``run()`` through it.  The differential tests in
-    ``tests/frontend/test_flat_equivalence.py`` compare both paths and
-    require bit-identical statistics.
-    """
-    return os.environ.get("REPRO_REFERENCE_FRONTEND", "") not in ("", "0")
 
 
 @dataclass
@@ -88,11 +75,6 @@ class BuildCycle:
             )
             for i in range(self.start, self.end)
         ]
-
-    @property
-    def stall_cycles(self) -> int:
-        """Total penalty cycles this fetch cycle incurred."""
-        return sum(self.penalties.values())
 
 
 class BuildEngine:

@@ -16,8 +16,8 @@ reproducing both fragmentation effects the paper describes.
 Two implementations share this class: ``_run_flat`` (default) is one
 fused loop over the columnar trace arrays with inlined predictors and
 tuple-payload lines, with an XBC-style queue-stall fast-forward;
-``_run_reference`` is the original object-per-cycle code, kept behind
-``REPRO_REFERENCE_FRONTEND=1`` as the behavioural oracle.  Both
+``_run_reference`` is the original object-per-cycle code, kept as the
+behavioural oracle the differential tests call directly.  Both
 produce bit-identical :class:`FrontendStats`.
 """
 
@@ -33,7 +33,7 @@ from repro.branch.rsb import ReturnStackBuffer
 from repro.common.bitutils import log2_exact
 from repro.common.errors import ConfigError
 from repro.frontend.base import FrontendModel, UopFlow
-from repro.frontend.build_engine import BuildEngine, reference_frontends_enabled
+from repro.frontend.build_engine import BuildEngine
 from repro.frontend.config import FrontendConfig
 from repro.frontend.flat_engine import make_flat_predictors
 from repro.frontend.icache import InstructionCache
@@ -105,8 +105,6 @@ class DecodedCacheFrontend(FrontendModel):
         self, trace: Trace, cycle_log: Optional[List[int]] = None
     ) -> FrontendStats:
         """Simulate the trace with a decoded-uop cache over the IC."""
-        if reference_frontends_enabled():
-            return self._run_reference(trace, cycle_log)
         return self._run_flat(trace, cycle_log)
 
     # ------------------------------------------------------------------

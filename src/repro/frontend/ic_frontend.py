@@ -18,7 +18,7 @@ indirect predictors and the icache inlined as integer math (see
 :mod:`repro.frontend.flat_engine`), plus an XBC-style queue-stall
 fast-forward.  ``_run_reference`` is the original object-per-cycle
 code driving :class:`~repro.frontend.build_engine.BuildEngine`, kept
-behind ``REPRO_REFERENCE_FRONTEND=1`` as the behavioural oracle; both
+as the behavioural oracle the differential tests call directly; both
 produce bit-identical :class:`FrontendStats`.
 """
 
@@ -31,7 +31,7 @@ from repro.branch.gshare import GsharePredictor
 from repro.branch.indirect import IndirectPredictor
 from repro.branch.rsb import ReturnStackBuffer
 from repro.frontend.base import FrontendModel, UopFlow
-from repro.frontend.build_engine import BuildEngine, reference_frontends_enabled
+from repro.frontend.build_engine import BuildEngine
 from repro.frontend.config import FrontendConfig
 from repro.frontend.flat_engine import make_flat_predictors
 from repro.frontend.icache import InstructionCache
@@ -70,8 +70,6 @@ class ICFrontend(FrontendModel):
         decoupling queue each cycle (0 on stall cycles); the epilogue
         drain is not logged.
         """
-        if reference_frontends_enabled():
-            return self._run_reference(trace, cycle_log)
         return self._run_flat(trace, cycle_log)
 
     # ------------------------------------------------------------------

@@ -45,7 +45,6 @@ from repro.serve.client import (
 from repro.serve.metrics import (
     LATENCY_BUCKET_BOUNDS,
     LatencyHistogram,
-    LatencyReservoir,
     ServiceMetrics,
 )
 from repro.serve.pool import PoolError, ShardWorker
@@ -66,7 +65,6 @@ __all__ = [
     "JobEntry",
     "LATENCY_BUCKET_BOUNDS",
     "LatencyHistogram",
-    "LatencyReservoir",
     "PoolError",
     "ProtocolError",
     "RetryPolicy",

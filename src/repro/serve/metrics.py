@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from collections import deque
 from typing import Dict, List, Optional, Sequence
 
 
@@ -108,47 +107,6 @@ class LatencyHistogram:
             "p99_ms": ms(self.quantile(0.99)),
             "mean_ms": ms(self.mean()),
             "max_ms": ms(self.max if self.count else None),
-        }
-
-
-class LatencyReservoir:
-    """Rolling window of the last *size* latencies, in seconds."""
-
-    def __init__(self, size: int = 512) -> None:
-        self._window = deque(maxlen=size)
-        self.count = 0
-        self.total = 0.0
-
-    def record(self, seconds: float) -> None:
-        """Add one observation."""
-        self._window.append(seconds)
-        self.count += 1
-        self.total += seconds
-
-    def quantile(self, q: float) -> Optional[float]:
-        """The *q*-quantile of the current window (``None`` if empty)."""
-        if not self._window:
-            return None
-        ordered = sorted(self._window)
-        rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[rank]
-
-    def mean(self) -> Optional[float]:
-        """Lifetime mean latency (``None`` before the first sample)."""
-        if not self.count:
-            return None
-        return self.total / self.count
-
-    def snapshot(self) -> Dict[str, Optional[float]]:
-        """p50/p95/mean in milliseconds plus the sample count."""
-        def ms(value: Optional[float]) -> Optional[float]:
-            return None if value is None else round(value * 1000.0, 3)
-
-        return {
-            "count": self.count,
-            "p50_ms": ms(self.quantile(0.50)),
-            "p95_ms": ms(self.quantile(0.95)),
-            "mean_ms": ms(self.mean()),
         }
 
 

@@ -204,11 +204,6 @@ def request_key(payload: Any) -> str:
     return key
 
 
-def describe_job(job) -> Dict[str, Any]:
-    """The manifest-style parameter dict for responses and listings."""
-    return job.describe()
-
-
 def job_request(job) -> Optional[Dict[str, Any]]:
     """Reconstruct the request payload for *job* (for resubmit files).
 

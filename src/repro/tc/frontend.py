@@ -12,10 +12,10 @@ Two implementations share this class: ``_run_flat`` (default for the
 §4 baseline, which has path associativity OFF) is one fused loop over
 the columnar trace arrays with inlined predictors and tuple-payload
 trace lines, plus an XBC-style queue-stall fast-forward.
-``_run_reference`` is the original object-per-cycle code, kept behind
-``REPRO_REFERENCE_FRONTEND=1`` as the behavioural oracle and used
-unconditionally for path-associative configurations (predictor-steered
-way selection stays on the object path).  Both produce bit-identical
+``_run_reference`` is the original object-per-cycle code, kept as the
+behavioural oracle the differential tests call directly and used for
+path-associative configurations (predictor-steered way selection stays
+on the object path).  Both produce bit-identical
 :class:`FrontendStats`.
 """
 
@@ -28,7 +28,7 @@ from repro.branch.gshare import GsharePredictor
 from repro.branch.indirect import IndirectPredictor
 from repro.branch.rsb import ReturnStackBuffer
 from repro.frontend.base import FrontendModel, UopFlow
-from repro.frontend.build_engine import BuildEngine, reference_frontends_enabled
+from repro.frontend.build_engine import BuildEngine
 from repro.frontend.config import FrontendConfig
 from repro.frontend.flat_engine import make_flat_predictors
 from repro.frontend.icache import InstructionCache
@@ -68,7 +68,7 @@ class TcFrontend(FrontendModel):
         self, trace: Trace, cycle_log: Optional[List[int]] = None
     ) -> FrontendStats:
         """Simulate the trace through the trace-cache frontend."""
-        if reference_frontends_enabled() or self.tc_config.path_associativity:
+        if self.tc_config.path_associativity:
             return self._run_reference(trace, cycle_log)
         return self._run_flat(trace, cycle_log)
 

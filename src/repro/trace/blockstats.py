@@ -100,15 +100,6 @@ def monotonic_branches(
     return result
 
 
-def _execution_counts(records: Iterable[DynInstr]) -> Dict[int, int]:
-    counts: Dict[int, int] = {}
-    for record in records:
-        if record.instr.kind is InstrKind.COND_BRANCH:
-            ip = record.instr.ip
-            counts[ip] = counts.get(ip, 0) + 1
-    return counts
-
-
 class _BlockAccumulator:
     """Streams instructions into quota-limited blocks for one definition.
 

@@ -21,7 +21,7 @@ came from the XBC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.branch.bias import BIAS_MAX, PROMOTE_HIGH, PROMOTE_LOW
@@ -30,11 +30,11 @@ from repro.branch.gshare import GsharePredictor
 from repro.branch.indirect import IndirectPredictor
 from repro.branch.rsb import ReturnStackBuffer
 from repro.frontend.base import FrontendModel, UopFlow
-from repro.frontend.build_engine import BuildEngine, reference_frontends_enabled
+from repro.frontend.build_engine import BuildEngine
 from repro.frontend.config import FrontendConfig
 from repro.frontend.icache import InstructionCache
 from repro.frontend.metrics import FrontendStats
-from repro.isa.instruction import CODE_COND_BRANCH, InstrKind
+from repro.isa.instruction import InstrKind
 from repro.isa.uop import UID_INDEX_BITS, uop_uid_ip, uop_uid_index
 from repro.trace.record import Trace
 from repro.xbc.config import XbcConfig
@@ -42,7 +42,7 @@ from repro.xbc.fill import XbcFillUnit
 from repro.xbc.pointer import XbPointer
 from repro.xbc.promotion import Promoter
 from repro.xbc.storage import XbcStorage
-from repro.xbc.xbseq import XbStep, build_xb_stream, xb_flat_columns
+from repro.xbc.xbseq import XbStep, build_xb_stream
 from repro.xbc.xbtb import Xbtb, XbtbEntry
 
 
@@ -157,8 +157,6 @@ class XbcFrontend(FrontendModel):
         self, trace: Trace, cycle_log: Optional[List[int]] = None
     ) -> FrontendStats:
         """Simulate the trace through the XBC frontend."""
-        if reference_frontends_enabled():
-            return self._run_reference(trace, cycle_log)
         return self._run_flat(trace, cycle_log)
 
     def _init_run(self, trace: Trace) -> _Run:
@@ -211,7 +209,7 @@ class XbcFrontend(FrontendModel):
     def _run_reference(
         self, trace: Trace, cycle_log: Optional[List[int]] = None
     ) -> FrontendStats:
-        """The structured implementation (``REPRO_REFERENCE_FRONTEND=1``)."""
+        """The structured implementation: the flat path's oracle."""
         r = self._init_run(trace)
         stats = r.stats
         flow = r.flow
@@ -272,18 +270,18 @@ class XbcFrontend(FrontendModel):
     def _run_flat(
         self, trace: Trace, cycle_log: Optional[List[int]] = None
     ) -> FrontendStats:
-        """Packed-state rewrite of the simulation loop (default path).
+        """Packed-state rewrite of the simulation loop (what ``run()`` uses).
 
         One fused loop owns cycle accounting, delivery-mode transition
         resolution, and the data-array access; all per-cycle state lives
-        in locals and the step stream is consumed through the columnar
-        view of :func:`xb_flat_columns`.  The dominant delivery case —
-        a full-shape pointer whose probe cache is valid and whose banks
-        are conflict-free — runs without allocating a :class:`FetchUnit`
-        at all.  Cold work (build mode, indirect/return transitions,
-        combined XBs, deferrals) goes through the same helper methods as
-        the reference implementation, with the hot locals synced into
-        the :class:`_Run` around each call.
+        in locals and statistics accumulate as deltas merged once at the
+        end.  Every resolved pointer becomes a :class:`FetchUnit` through
+        :meth:`_make_unit` (which also applies the §3.8 combined-XB
+        upgrade) and goes through the one bank-arbitrated data-array
+        section.  Cold work (build mode, indirect/return transitions)
+        goes through the same helper methods as the reference
+        implementation, with the hot locals synced into the :class:`_Run`
+        around each call.
         """
         xc = self.xbc_config
         r = self._init_run(trace)
@@ -291,12 +289,6 @@ class XbcFrontend(FrontendModel):
         flow = r.flow
         storage = r.storage
         xbtb = r.xbtb
-
-        cols = xb_flat_columns(trace, xc.max_xb_uops)
-        s_end = cols.end_ips
-        s_taken = cols.takens
-        s_uops = cols.uops
-        s_rev = cols.revs
         steps = r.steps
         n_steps = r.n_steps
 
@@ -312,9 +304,9 @@ class XbcFrontend(FrontendModel):
         x_sets = xbtb._sets
         x_set_mask = xbtb._set_mask
         probe_memo = r.probe_memo
-        rev_memo = r.rev_memo
         pins_append = r.pins.append
         tail_of = self._tail_of
+        make_unit = self._make_unit
         gshare_update = r.gshare.update
         try_promote = r.promoter._try_promote
 
@@ -331,7 +323,7 @@ class XbcFrontend(FrontendModel):
         relocate_line = storage.relocate_line
         mispredict_penalty = self.config.mispredict_penalty
         uid_shift = UID_INDEX_BITS
-        code_cond = CODE_COND_BRANCH
+        cond_branch = InstrKind.COND_BRANCH
 
         # hot state, hoisted out of _Run
         si = 0
@@ -361,7 +353,6 @@ class XbcFrontend(FrontendModel):
         d_fetch_cycles = 0
         d_cond_pred = 0
         d_cond_misp = 0
-        d_comb = 0
         d_deferrals = 0
 
         while si < n_steps:
@@ -444,37 +435,27 @@ class XbcFrontend(FrontendModel):
             while slots > 0 and si < n_steps:
                 if unit is None:
                     if resolved is not None:
-                        tag, unit = resolved
+                        unit = resolved[1]  # None: switch to build
                         resolved = None
-                        if tag == "build":
-                            if delivered_any or slots < xbs_per_cycle:
-                                resolved = ("build", None)
-                                break
-                            r.si = si
-                            r.consumed = consumed
-                            self._switch_to_build(r)
-                            delivery = False
-                            break
-                        # tag == "unit": fall through to the data array
                     else:
                         # ---- transition resolution, inline ----
                         entry = cur_entry
-                        ptr = None
-                        shape = 0  # 0 none, 1 full, 2 prefix
+                        shape = None
                         mispredict = False
                         if entry is not None:
+                            step = steps[si]
                             if consumed:
-                                remaining, rev = tail_of(r, steps[si], consumed)
+                                remaining, rev = tail_of(r, step, consumed)
                             else:
-                                remaining = s_uops[si]
-                                rev = s_rev[si]
-                            ecode = entry.end_code
-                            if ecode < 0:  # quota split: plain fall-through
+                                remaining = step.uops
+                                rev = step.rev
+                            kind = entry.end_kind
+                            if kind is None:  # quota split: fall-through
                                 a_done = True
                                 link_entry = entry
                                 link_taken = False
                                 ptr = entry.nt_ptr
-                            elif ecode == code_cond and entry.promoted is None:
+                            elif kind is cond_branch and entry.promoted is None:
                                 a_done = True
                                 actual = last_taken
                                 link_entry = entry
@@ -504,8 +485,7 @@ class XbcFrontend(FrontendModel):
                                 r.last_in_build = last_in_build
                                 r.xibtb_source = xibtb_src
                                 ptr, cause = self._transition(
-                                    r, entry, steps[si], remaining,
-                                    in_build=False,
+                                    r, entry, step, remaining, in_build=False
                                 )
                                 a_done = r.a_done
                                 link_entry, link_taken = r.link_info
@@ -515,8 +495,8 @@ class XbcFrontend(FrontendModel):
                             if ptr is not None:
                                 rem = len(remaining)
                                 p_off = ptr.offset
-                                if ptr.xb_ip == s_end[si] and p_off == rem:
-                                    shape = 1
+                                if ptr.xb_ip == step.end_ip and p_off == rem:
+                                    shape = "full"
                                 elif (
                                     0 < p_off < rem
                                     and remaining[p_off - 1] >> uid_shift
@@ -524,296 +504,26 @@ class XbcFrontend(FrontendModel):
                                     and remaining[p_off] >> uid_shift
                                     != ptr.xb_ip
                                 ):
-                                    shape = 2
+                                    shape = "prefix"
                         if mispredict:
                             stats.add_penalty("mispredict", mispredict_penalty)
-                        if shape == 0:
-                            # no usable pointer: re-steer into build mode
-                            if delivered_any or slots < xbs_per_cycle:
-                                resolved = ("build", None)
+                        if shape is not None:
+                            r.si = si
+                            unit = make_unit(r, ptr, step, remaining, shape, rev)
+                            if mispredict:
+                                # charged re-steer; corrected unit next cycle
+                                resolved = ("unit", unit)
                                 break
-                            r.si = si
-                            r.consumed = consumed
-                            self._switch_to_build(r)
-                            delivery = False
+                    if unit is None:
+                        # no usable pointer: re-steer into build mode
+                        if delivered_any or slots < xbs_per_cycle:
+                            resolved = ("build", None)
                             break
-                        if mispredict:
-                            # charged re-steer; corrected unit next cycle
-                            r.si = si
-                            r.consumed = consumed
-                            resolved = ("unit", self._make_unit(
-                                r, ptr, steps[si], remaining,
-                                "full" if shape == 1 else "prefix", rev,
-                            ))
-                            break
-                        if shape == 2:
-                            r.si = si
-                            r.consumed = consumed
-                            unit = self._make_unit(
-                                r, ptr, steps[si], remaining, "prefix", rev
-                            )
-                            # falls through to the data array
-                        else:
-                            p_ip = ptr.xb_ip
-                            xset = x_sets[(p_ip >> 1) & x_set_mask]
-                            target = xset.get(p_ip)
-                            if (
-                                target is not None
-                                and target.promoted is not None
-                                and target.promoted == (s_taken[si] == 1)
-                                and si + 1 < n_steps
-                            ):
-                                # ---- combined-XB upgrade (§3.8), inline:
-                                # same decision chain as _make_unit, with
-                                # a unit-less delivery when the combined
-                                # variant's mapping is cached and clean ----
-                                f_ip = target.forward_xb_ip
-                                nxt_uops = s_uops[si + 1]
-                                variant = None
-                                e1 = None
-                                if (
-                                    s_end[si + 1] == f_ip
-                                    and len(nxt_uops) == target.forward_len1
-                                ):
-                                    e1 = x_sets[
-                                        (f_ip >> 1) & x_set_mask
-                                    ].get(f_ip)
-                                    if e1 is not None:
-                                        comb_offset = (
-                                            rem + target.forward_len1
-                                        )
-                                        variant = e1.variant_covering(
-                                            storage, comb_offset
-                                        )
-                                if variant is None:
-                                    # no combined copy: plain full unit
-                                    unit = FetchUnit(
-                                        xb_ip=p_ip,
-                                        mask=ptr.mask,
-                                        offset=rem,
-                                        rev_expected=rev,
-                                        advance_steps=1,
-                                        source_ptr=ptr,
-                                    )
-                                    # falls through to the data array
-                                else:
-                                    # on_outcome: taken == promoted here,
-                                    # so only the bias update applies
-                                    bias = target.bias
-                                    value = bias.value
-                                    if s_taken[si]:
-                                        if value < BIAS_MAX:
-                                            bias.value = value + 1
-                                    elif value > 0:
-                                        bias.value = value - 1
-                                    d_comb += 1
-                                    ckey = (
-                                        id(remaining), id(nxt_uops), -1
-                                    )
-                                    crev = rev_memo.get(ckey)
-                                    if crev is None:
-                                        crev = (
-                                            tuple(remaining) + nxt_uops
-                                        )[::-1]
-                                        rev_memo[ckey] = crev
-                                    v_mask = variant.mask
-                                    d_lookups += 1
-                                    version = set_versions[
-                                        (f_ip >> 1) & set_mask
-                                    ]
-                                    mkey = (
-                                        f_ip, v_mask, comb_offset, id(crev)
-                                    )
-                                    hit = probe_memo.get(mkey)
-                                    if (
-                                        hit is not None
-                                        and hit[0] == version
-                                    ):
-                                        mapping = hit[1]
-                                        bits = hit[2]
-                                        clean = hit[3]
-                                    else:
-                                        mapping = probe(
-                                            f_ip, v_mask, comb_offset, crev
-                                        )
-                                        bits = 0
-                                        clean = True
-                                        if mapping is not None:
-                                            for slot in mapping.values():
-                                                b = 1 << slot[0]
-                                                if bits & b:
-                                                    clean = False
-                                                bits |= b
-                                            probe_memo[mkey] = (
-                                                version, mapping,
-                                                bits, clean,
-                                            )
-                                    if mapping is None:
-                                        # miss: general path handles the
-                                        # set-search/abort (re-probe is
-                                        # pure, so the repeat is safe)
-                                        unit = FetchUnit(
-                                            xb_ip=f_ip,
-                                            mask=v_mask,
-                                            offset=comb_offset,
-                                            rev_expected=crev,
-                                            advance_steps=2,
-                                            counted=True,
-                                        )
-                                        # falls through to the data array
-                                    elif clean and not banks_used & bits:
-                                        d_hits += 1
-                                        banks_used |= bits
-                                        # inline storage.touch()
-                                        storage._clock += 1
-                                        stamp = storage._clock
-                                        set_lines = sets[
-                                            (f_ip >> 1) & set_mask
-                                        ]
-                                        for bank, way in mapping.values():
-                                            line = set_lines[bank][way]
-                                            if line is not None:
-                                                line.stamp = stamp
-                                        d_from_structure += comb_offset
-                                        occ += comb_offset
-                                        delivered_any = True
-                                        # commit: advance two steps, next
-                                        # XBTB lookup (end-IP == f_ip)
-                                        a_done = False
-                                        link_entry = None
-                                        link_taken = False
-                                        xibtb_src = None
-                                        last_in_build = False
-                                        last_mask = v_mask
-                                        last_taken = s_taken[si + 1] == 1
-                                        si += 2
-                                        consumed = 0
-                                        xbtb.lookups += 1
-                                        xbtb.hits += 1
-                                        xbtb._clock += 1
-                                        e1.stamp = xbtb._clock
-                                        cur_entry = e1
-                                        slots -= 1
-                                        continue
-                                    else:
-                                        # dirty mapping or bank conflict
-                                        d_hits += 1
-                                        unit = FetchUnit(
-                                            xb_ip=f_ip,
-                                            mask=v_mask,
-                                            offset=comb_offset,
-                                            rev_expected=crev,
-                                            advance_steps=2,
-                                            counted=True,
-                                            hit_counted=True,
-                                            cached_map=mapping,
-                                            cached_version=version,
-                                            cached_bits=bits,
-                                            cached_clean=clean,
-                                        )
-                            else:
-                                # ---- unit-less fast path: full-shape
-                                # pointer, probe cache, one-AND bank
-                                # arbitration, whole-XB delivery ----
-                                d_lookups += 1
-                                p_mask = ptr.mask
-                                version = set_versions[(p_ip >> 1) & set_mask]
-                                if (
-                                    ptr.cache_rev is rev
-                                    and ptr.cache_key == (version, p_mask, rem)
-                                ):
-                                    mapping = ptr.cache_map
-                                else:
-                                    mapping = probe(p_ip, p_mask, rem, rev)
-                                    if mapping is not None:
-                                        bits = 0
-                                        clean = True
-                                        for slot in mapping.values():
-                                            b = 1 << slot[0]
-                                            if bits & b:
-                                                clean = False
-                                            bits |= b
-                                        ptr.cache_key = (version, p_mask, rem)
-                                        ptr.cache_rev = rev
-                                        ptr.cache_map = mapping
-                                        ptr.cache_bits = bits
-                                        ptr.cache_clean = clean
-                                if mapping is None:
-                                    # XBC miss: set search, else build
-                                    if enable_set_search:
-                                        stats.bump("set_searches")
-                                        repaired = storage.set_search(
-                                            p_ip, rem, rev
-                                        )
-                                        if repaired is not None:
-                                            ptr.mask = repaired[0]
-                                            stats.bump("set_search_hits")
-                                            stats.add_penalty("set_search", 1)
-                                            pending = FetchUnit(
-                                                xb_ip=p_ip,
-                                                mask=repaired[0],
-                                                offset=rem,
-                                                rev_expected=rev,
-                                                advance_steps=1,
-                                                source_ptr=ptr,
-                                                counted=True,
-                                            )
-                                            break
-                                    r.si = si
-                                    r.consumed = consumed
-                                    self._switch_to_build(r)
-                                    delivery = False
-                                    break
-                                d_hits += 1
-                                bits = ptr.cache_bits
-                                if ptr.cache_clean and not banks_used & bits:
-                                    banks_used |= bits
-                                    # inline storage.touch()
-                                    storage._clock += 1
-                                    stamp = storage._clock
-                                    set_lines = sets[(p_ip >> 1) & set_mask]
-                                    for bank, way in mapping.values():
-                                        line = set_lines[bank][way]
-                                        if line is not None:
-                                            line.stamp = stamp
-                                    d_from_structure += rem
-                                    occ += rem
-                                    delivered_any = True
-                                    # commit: advance one step, next XBTB
-                                    # lookup (committed end-IP == p_ip)
-                                    a_done = False
-                                    link_entry = None
-                                    link_taken = False
-                                    xibtb_src = None
-                                    last_in_build = False
-                                    last_mask = p_mask
-                                    last_taken = s_taken[si] == 1
-                                    si += 1
-                                    consumed = 0
-                                    xbtb.lookups += 1
-                                    if target is not None:
-                                        xbtb.hits += 1
-                                        xbtb._clock += 1
-                                        target.stamp = xbtb._clock
-                                    cur_entry = target
-                                    slots -= 1
-                                    continue
-                                # dirty mapping or bank conflict: hand off
-                                # to the general arbitration path
-                                unit = FetchUnit(
-                                    xb_ip=p_ip,
-                                    mask=p_mask,
-                                    offset=rem,
-                                    rev_expected=rev,
-                                    advance_steps=1,
-                                    source_ptr=ptr,
-                                    counted=True,
-                                    hit_counted=True,
-                                    cached_map=mapping,
-                                    cached_version=version,
-                                    cached_bits=bits,
-                                    cached_clean=ptr.cache_clean,
-                                )
+                        r.si = si
+                        r.consumed = consumed
+                        self._switch_to_build(r)
+                        delivery = False
+                        break
 
                 # ---- data-array access for one unit, bank-arbitrated ----
                 if not unit.counted:
@@ -858,6 +568,7 @@ class XbcFrontend(FrontendModel):
                                 unit.cached_bits = bits
                                 unit.cached_clean = clean
                     else:
+                        # pointer-less units (combined XBs): run-level memo
                         mkey = (
                             u_ip, unit.mask, unit.offset,
                             id(unit.rev_expected),
@@ -889,7 +600,6 @@ class XbcFrontend(FrontendModel):
                                 unit.cached_version = version
                                 unit.cached_bits = bits
                                 unit.cached_clean = clean
-
                 if mapping is None:
                     if enable_set_search:
                         stats.bump("set_searches")
@@ -1025,11 +735,11 @@ class XbcFrontend(FrontendModel):
                     consumed += unit.delivered
                     ip = u_ip
                 else:
-                    for _ in range(adv):
-                        last_taken = s_taken[si] == 1
-                        si += 1
+                    si += adv
                     consumed = 0
-                    ip = s_end[si - 1]
+                    done = steps[si - 1]
+                    last_taken = done.taken
+                    ip = done.end_ip
                 xbtb.lookups += 1
                 entry = x_sets[(ip >> 1) & x_set_mask].get(ip)
                 if entry is not None:
@@ -1058,8 +768,6 @@ class XbcFrontend(FrontendModel):
         stats.structure_fetch_cycles += d_fetch_cycles
         stats.cond_predictions += d_cond_pred
         stats.cond_mispredicts += d_cond_misp
-        if d_comb:
-            stats.bump("comb_fetches", d_comb)
         if d_deferrals:
             stats.bump("bank_conflict_deferrals", d_deferrals)
         flow.occupancy = occ

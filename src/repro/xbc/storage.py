@@ -568,12 +568,6 @@ class XbcStorage:
             self._remove(set_idx, line)
             self.evictions += 1
 
-    def _banks_holding_tag(self, set_idx: int, tag: int) -> int:
-        mask = 0
-        for line in self._tags[set_idx].get(tag, ()):
-            mask |= 1 << line.bank
-        return mask
-
     def _choose_banks(
         self,
         set_idx: int,

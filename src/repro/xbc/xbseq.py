@@ -23,10 +23,9 @@ is additionally memoized per ``(trace, quota)``.
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.isa.instruction import KIND_CODE, KIND_ENDS_XB, KINDS_BY_CODE, InstrKind
+from repro.isa.instruction import KIND_ENDS_XB, KINDS_BY_CODE, InstrKind
 from repro.isa.uop import uops_of
 from repro.trace.record import Trace
 
@@ -56,46 +55,6 @@ class XbStep(NamedTuple):
     def entry_offset(self) -> int:
         """OFFSET of this occurrence: uops counted back from the end."""
         return len(self.uops)
-
-
-class XbFlatColumns(NamedTuple):
-    """Column-oriented view of the XB stream for the flat delivery loop.
-
-    The scalar fields of every :class:`XbStep` unpacked into parallel
-    packed arrays, plus the uop/rev tuples as plain lists.  The tuple
-    objects are the *same* objects the :func:`build_xb_stream` steps
-    hold, so identity-keyed memos (pointer probe caches, tail memos)
-    work interchangeably across both views.
-    """
-
-    end_ips: array        # "q": IP of each step's ending instruction
-    kind_codes: array     # "b": KIND_CODE of end_kind, -1 for None
-    takens: array         # "b": 1 when the ending branch was taken
-    uops: List[Tuple[int, ...]]   # per-step uop uids, program order
-    revs: List[Tuple[int, ...]]   # per-step uop uids, reversed
-
-
-def xb_flat_columns(trace: Trace, quota: int = 16) -> XbFlatColumns:
-    """Columnar rendering of :func:`build_xb_stream`, memoized per trace."""
-    memo_key = ("xb_flat", quota)
-    derived = trace._derived
-    cached = derived.get(memo_key)
-    if cached is not None:
-        return cached
-    steps = build_xb_stream(trace, quota)
-    kind_code = KIND_CODE
-    cols = XbFlatColumns(
-        end_ips=array("q", (s.end_ip for s in steps)),
-        kind_codes=array(
-            "b",
-            (-1 if s.end_kind is None else kind_code[s.end_kind] for s in steps),
-        ),
-        takens=array("b", (1 if s.taken else 0 for s in steps)),
-        uops=[s.uops for s in steps],
-        revs=[s.rev for s in steps],
-    )
-    derived[memo_key] = cols
-    return cols
 
 
 class _ChunkTemplate(NamedTuple):

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.branch.bias import BiasCounter
 from repro.common.bitutils import log2_exact
-from repro.isa.instruction import KIND_CODE, InstrKind
+from repro.isa.instruction import InstrKind
 from repro.xbc.config import XbcConfig
 from repro.xbc.pointer import XbPointer
 from repro.xbc.storage import XbcStorage
@@ -80,7 +80,6 @@ class XbtbEntry:
     __slots__ = (
         "xb_ip",
         "end_kind",
-        "end_code",
         "taken_ptr",
         "nt_ptr",
         "bias",
@@ -97,10 +96,6 @@ class XbtbEntry:
     def __init__(self, xb_ip: int, end_kind: Optional[InstrKind]) -> None:
         self.xb_ip = xb_ip
         self.end_kind = end_kind
-        #: integer mirror of :attr:`end_kind` (-1 for ``None``) — the
-        #: flat delivery loop dispatches on this with one int compare
-        #: instead of enum identity checks.
-        self.end_code = -1 if end_kind is None else KIND_CODE[end_kind]
         #: successor on the taken path (callee XB for calls).
         self.taken_ptr: Optional[XbPointer] = None
         #: fall-through successor (return-successor XB for calls).
@@ -228,7 +223,6 @@ class Xbtb:
             entry.stamp = self._clock
             if entry.end_kind is None and end_kind is not None:
                 entry.end_kind = end_kind
-                entry.end_code = KIND_CODE[end_kind]
             return entry
         if len(entries) >= self.assoc:
             victim = min(entries, key=lambda ip: entries[ip].stamp)

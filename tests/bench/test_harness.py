@@ -1,17 +1,11 @@
-"""Tests for the ``repro bench`` harness and its regression gate."""
+"""Tests for the ``repro bench`` harness."""
 
 import json
 import subprocess
 
 import pytest
 
-from repro.bench import (
-    compare_to_baseline,
-    format_report,
-    resolve_phases,
-    run_bench,
-    write_report,
-)
+from repro.bench import format_report, resolve_phases, run_bench, write_report
 from repro.bench.harness import _git_rev
 from repro.harness.runner import FRONTEND_KINDS
 
@@ -174,53 +168,3 @@ class TestResolvePhases:
         assert "bogus" in message
         for token in ("trace_gen", "serve_load") + tuple(FRONTEND_KINDS):
             assert token in message
-
-
-class TestRegressionGate:
-    def _fake(self, ups, calibration):
-        return {
-            "calibration_ops_per_sec": calibration,
-            "phases": {"frontend_xbc": {"uops_per_sec": ups}},
-        }
-
-    def test_equal_reports_pass(self):
-        base = self._fake(1000.0, 5e6)
-        assert compare_to_baseline(self._fake(1000.0, 5e6), base) == []
-
-    def test_within_tolerance_passes(self):
-        base = self._fake(1000.0, 5e6)
-        assert compare_to_baseline(self._fake(750.0, 5e6), base) == []
-
-    def test_regression_fails(self):
-        base = self._fake(1000.0, 5e6)
-        failures = compare_to_baseline(self._fake(600.0, 5e6), base)
-        assert len(failures) == 1
-        assert "frontend_xbc" in failures[0]
-
-    def test_calibration_rescales_slow_machine(self):
-        """Half-speed machine at half throughput is NOT a regression."""
-        base = self._fake(1000.0, 5e6)
-        assert compare_to_baseline(self._fake(500.0, 2.5e6), base) == []
-
-    def test_calibration_exposes_real_regression(self):
-        """Same machine speed, halved throughput IS a regression."""
-        base = self._fake(1000.0, 5e6)
-        assert compare_to_baseline(self._fake(500.0, 5e6), base) != []
-
-    def test_per_phase_tolerance_override_relaxes(self):
-        """A baseline phase's own tolerance key widens its band."""
-        base = self._fake(1000.0, 5e6)
-        base["phases"]["frontend_xbc"]["tolerance"] = 0.50
-        assert compare_to_baseline(self._fake(600.0, 5e6), base) == []
-
-    def test_per_phase_tolerance_override_tightens(self):
-        base = self._fake(1000.0, 5e6)
-        base["phases"]["frontend_xbc"]["tolerance"] = 0.05
-        failures = compare_to_baseline(self._fake(900.0, 5e6), base)
-        assert failures and "tolerance 5%" in failures[0]
-
-    def test_missing_phase_fails(self):
-        base = self._fake(1000.0, 5e6)
-        report = {"calibration_ops_per_sec": 5e6, "phases": {}}
-        failures = compare_to_baseline(report, base)
-        assert failures and "missing" in failures[0]

@@ -48,3 +48,40 @@ def test_run_bench_serve_load_phase_entries():
     # embedded tolerance keeps the gate sane on noisy saturation runs.
     assert phase["uops_per_sec"] > 0
     assert 0.0 < phase["tolerance"] < 1.0
+
+
+def test_later_stages_draw_fresh_cold_lengths(monkeypatch):
+    """Cold requests of a later stage never repeat an earlier stage's.
+
+    Each stage starts a fresh server and cache, but the in-memory trace
+    cache of an inline stage survives it (and forked workers of later
+    stages inherit it), so a repeated cold length would skip trace
+    generation and read as a faster "cold" request.
+    """
+    from repro.bench import serve as serve_bench
+    from repro.serve.client import ServeClient
+
+    base_length = 2_000
+    stage_lengths = []
+    original_stage = serve_bench._load_stage
+    original_submit = ServeClient.submit_with_retry
+
+    def recording_stage(**kwargs):
+        stage_lengths.append(set())
+        return original_stage(**kwargs)
+
+    def recording_submit(self, request, *args, **kwargs):
+        if request["length"] > base_length:
+            stage_lengths[-1].add(request["length"])
+        return original_submit(self, request, *args, **kwargs)
+
+    monkeypatch.setattr(serve_bench, "_load_stage", recording_stage)
+    monkeypatch.setattr(ServeClient, "submit_with_retry", recording_submit)
+    section = run_serve_load(
+        clients=2, duration=0.4, worker_counts=[1, 1],
+        length=base_length, warm_fraction=0.0, warm_pool=1,
+    )
+    assert [stage["workers"] for stage in section["stages"]] == [1, 1]
+    first, second = stage_lengths
+    assert first and second
+    assert first.isdisjoint(second)
