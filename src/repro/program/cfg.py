@@ -7,7 +7,11 @@ A synthetic program is generated in two stages:
 2. *Layout*: the specs are placed into a linear address space, producing
    concrete :class:`~repro.isa.instruction.Instruction` objects, a
    :class:`~repro.isa.image.ProgramImage`, and :class:`LayoutBlock`
-   records the trace executor walks.
+   records the trace executor walks.  Addresses are fixed for every
+   block up front; the instructions, layout records and behaviours of a
+   block are built the first time something asks for them
+   (:class:`LazyMapping`), because a bounded trace executes only a
+   small fraction of a large program.
 
 Keeping the two stages separate makes the generator testable (structure
 invariants can be checked before any addresses exist) and keeps layout
@@ -18,7 +22,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, TypeVar,
+)
 
 from repro.isa.image import ProgramImage
 from repro.isa.instruction import Instruction, InstrKind
@@ -146,27 +152,87 @@ class LayoutBlock:
         return sum(i.num_uops for i in self.instructions)
 
 
-class Program:
-    """A fully laid-out synthetic program.
+K = TypeVar("K")
+V = TypeVar("V")
 
-    Holds the static image, per-block layout records, and the behaviour
-    objects for every conditional/indirect terminator.  The executor in
-    :mod:`repro.trace.executor` is a walk over this structure.
+
+class LazyMapping(Mapping[K, V]):
+    """Read-only mapping whose keys are fixed and values built on demand.
+
+    ``owners`` maps every key to the id of the block whose lowering
+    creates its value; ``lower(bid)`` must store that value under the
+    key in :attr:`built`.  Membership, length and iterating keys never
+    lower anything; a lookup lowers the key's block (once), and
+    iterating values or items lowers every block.
     """
 
     def __init__(
         self,
-        image: ProgramImage,
-        blocks: Dict[int, LayoutBlock],
+        owners: Dict[K, int],
+        built: Dict[K, V],
+        lower: Callable[[int], None],
+    ) -> None:
+        self._owners = owners
+        #: the values created so far
+        self.built = built
+        self._lower = lower
+
+    def __getitem__(self, key: K) -> V:
+        try:
+            return self.built[key]
+        except KeyError:
+            self._lower(self._owners[key])
+            return self.built[key]
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._owners
+
+    def __iter__(self) -> Iterator[K]:
+        return iter(self._owners)
+
+    def __len__(self) -> int:
+        return len(self._owners)
+
+
+def _created(values: Mapping) -> Iterable:
+    """Values that exist already: only the built ones of a lazy mapping."""
+    if isinstance(values, LazyMapping):
+        return values.built.values()
+    return values.values()
+
+
+class Program:
+    """A laid-out synthetic program.
+
+    Holds the static image, per-block layout records, and the behaviour
+    objects for every conditional/indirect terminator.  The executor in
+    :mod:`repro.trace.executor` is a walk over this structure.
+
+    *blocks* and the behaviour maps may be lazy (:class:`LazyMapping`).  The
+    generator then passes ``image=None`` together with what layout fixed
+    before lowering — every block's entry address, the static uop count
+    and the code size — so that :attr:`static_uops`, :meth:`describe`
+    and :meth:`block_at_ip` build nothing; :attr:`image` is assembled
+    from the blocks on first access.  Hand-built programs pass plain
+    dicts and an image and leave those three to be derived.
+    """
+
+    def __init__(
+        self,
+        image: Optional[ProgramImage],
+        blocks: Mapping[int, LayoutBlock],
         functions: List[FunctionSpec],
         entry_bid: int,
-        cond_behaviors: Dict[int, BranchBehavior],
-        indirect_behaviors: Dict[int, IndirectBehavior],
+        cond_behaviors: Mapping[int, BranchBehavior],
+        indirect_behaviors: Mapping[int, IndirectBehavior],
         suite: str = "",
         name: str = "",
         seed: int = 0,
+        entry_ips: Optional[Mapping[int, int]] = None,
+        static_uops: Optional[int] = None,
+        total_bytes: Optional[int] = None,
     ) -> None:
-        self.image = image
+        self._image = image
         self.blocks = blocks
         self.functions = functions
         self.entry_bid = entry_bid
@@ -175,11 +241,33 @@ class Program:
         self.suite = suite
         self.name = name
         self.seed = seed
-        self._block_by_entry_ip = {b.entry_ip: b.bid for b in blocks.values()}
+        #: static footprint in uops
+        self.static_uops = (
+            static_uops if static_uops is not None else self.image.total_uops
+        )
+        #: static code footprint in bytes
+        self.total_bytes = (
+            total_bytes if total_bytes is not None else self.image.total_bytes
+        )
+        if entry_ips is None:
+            entry_ips = {b.bid: b.entry_ip for b in blocks.values()}
+        self._block_by_entry_ip = {ip: bid for bid, ip in entry_ips.items()}
         #: True once any execution has advanced behaviour state; lets
         #: the executor skip the (reseed-everything) reset on a program
         #: that has never run.
         self.behaviors_dirty = False
+
+    @property
+    def image(self) -> ProgramImage:
+        """The static image; lowers every block on first access."""
+        if self._image is None:
+            image = ProgramImage()
+            for block in self.blocks.values():
+                for instr in block.body:
+                    image.add(instr)
+                image.add(block.terminator)
+            self._image = image.freeze()
+        return self._image
 
     @property
     def entry_block(self) -> LayoutBlock:
@@ -192,20 +280,18 @@ class Program:
         return self.blocks[bid] if bid is not None else None
 
     @property
-    def static_uops(self) -> int:
-        """Static footprint in uops."""
-        return self.image.total_uops
-
-    @property
     def num_blocks(self) -> int:
         """Number of basic blocks."""
         return len(self.blocks)
 
     def reset_behaviors(self) -> None:
-        """Reset all behaviour state so a fresh execution is identical."""
-        for behavior in self.cond_behaviors.values():
+        """Reset all behaviour state so a fresh execution is identical.
+
+        Behaviours not created yet start in their initial state anyway.
+        """
+        for behavior in _created(self.cond_behaviors):
             behavior.reset()
-        for behavior in self.indirect_behaviors.values():
+        for behavior in _created(self.indirect_behaviors):
             behavior.reset()
         self.behaviors_dirty = False
 
@@ -215,5 +301,5 @@ class Program:
             f"program {self.name or '?'} (suite={self.suite or '?'}, "
             f"seed={self.seed}): {len(self.functions)} functions, "
             f"{self.num_blocks} blocks, {self.static_uops} static uops, "
-            f"{self.image.total_bytes} bytes"
+            f"{self.total_bytes} bytes"
         )

@@ -14,9 +14,11 @@ into a laid-out :class:`~repro.program.cfg.Program`:
    intra-function cycle is trip-limited) create loops; forward
    conditional/unconditional targets create join points, which is what
    gives extended blocks their multiple entry points.
-3. **Layout** — blocks are lowered to IA-32-like instructions (1–11
-   bytes, 1–4 uops) in a linear address space, and behaviour objects
-   are attached to every conditional/indirect terminator IP.
+3. **Layout** — every instruction's shape (1–11 bytes, 1–4 uops) and
+   every block's address in a linear address space are fixed up front;
+   a block is lowered to IA-32-like instructions, and its
+   conditional/indirect terminator given a behaviour object, the first
+   time the program is asked for it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import GenerationError
 from repro.common.rng import DeterministicRng
-from repro.isa.image import ProgramImage
 from repro.isa.instruction import Instruction, InstrKind
 from repro.program.behavior import (
     BiasedBehavior,
@@ -39,6 +40,7 @@ from repro.program.cfg import (
     BasicBlockSpec,
     FunctionSpec,
     LayoutBlock,
+    LazyMapping,
     Program,
     TerminatorKind,
 )
@@ -53,6 +55,9 @@ _TERMINATOR_SHAPE: Dict[TerminatorKind, Tuple[int, int]] = {
     TerminatorKind.INDIRECT: (2, 1),
     TerminatorKind.RET: (1, 2),
 }
+
+#: Terminators whose targets come from an :class:`IndirectBehavior`.
+_INDIRECT_TERMINATORS = (TerminatorKind.INDIRECT, TerminatorKind.INDIRECT_CALL)
 
 #: Minimum gap left between functions during layout (bytes).
 _MIN_FUNCTION_GAP = 16
@@ -515,9 +520,10 @@ class ProgramGenerator:
         name: str,
         suite: str,
     ) -> Program:
-        """Lower specs to instructions at concrete addresses."""
+        """Place specs at concrete addresses; lower blocks on demand."""
         rng = self._rng.fork(3)
-        # Pass A: draw every instruction's shape, then assign addresses.
+        # Pass A: draw every instruction's shape, then fix every block's
+        # address, its terminator IP and the static footprint.
         # The kind/size draws are inlined (weighted_choice and geometric
         # unrolled with the same float accumulation and draw order, so
         # the RNG stream is unchanged): this loop runs once per static
@@ -530,12 +536,18 @@ class ProgramGenerator:
         size_inv = 1.0 / log(1.0 - 1.0 / (3.2 - 1 + 1.0))
         body_shapes: Dict[int, List[Tuple[InstrKind, int, int]]] = {}
         entry_ips: Dict[int, int] = {}
+        block_owners: Dict[int, int] = {}
+        cond_owners: Dict[int, int] = {}      # terminator IP -> bid
+        indirect_owners: Dict[int, int] = {}  # terminator IP -> bid
+        static_uops = 0
         cursor = 0x1000
+        end_ip = cursor
         for fn in functions:
             for bid in fn.block_bids:
                 spec = specs[bid]
                 shapes = []
                 append = shapes.append
+                term_ip = cursor
                 for uops in spec.body_uop_counts:
                     point = rnd() * kind_total
                     if point < t_alu:
@@ -548,57 +560,72 @@ class ProgramGenerator:
                     if size > 11:
                         size = 11
                     append((kind, uops, size))
+                    term_ip += size
                 body_shapes[bid] = shapes
                 entry_ips[bid] = cursor
-                term_size, _ = _TERMINATOR_SHAPE[spec.terminator]
-                cursor += sum(s for _, _, s in shapes) + term_size
+                block_owners[bid] = bid
+                terminator = spec.terminator
+                if terminator is TerminatorKind.COND:
+                    cond_owners[term_ip] = bid
+                elif terminator in _INDIRECT_TERMINATORS:
+                    indirect_owners[term_ip] = bid
+                term_size, term_uops = _TERMINATOR_SHAPE[terminator]
+                static_uops += sum(spec.body_uop_counts) + term_uops
+                cursor = end_ip = term_ip + term_size
             cursor += _MIN_FUNCTION_GAP + rng.geometric(
                 self.profile.mean_function_gap_bytes, lo=0, hi=65536
             )
 
-        # Pass B: materialize instructions with resolved targets.
-        image = ProgramImage()
+        # Pass B, on demand: a block's instructions, layout record and
+        # behaviour are built the first time anything looks it up, since
+        # a bounded trace executes a small fraction of a large program.
+        # Every behaviour draws from its own fork of the seed and every
+        # instruction depends only on pass-A data, so the order blocks
+        # are lowered in cannot change the program.
         blocks: Dict[int, LayoutBlock] = {}
         cond_behaviors: Dict[int, BranchBehavior] = {}
         indirect_behaviors: Dict[int, IndirectBehavior] = {}
-        for fn in functions:
-            for bid in fn.block_bids:
-                spec = specs[bid]
-                ip = entry_ips[bid]
-                body: List[Instruction] = []
-                trusted = Instruction.trusted
-                for kind, uops, size in body_shapes[bid]:
-                    instr = trusted(ip, size, kind, uops)
-                    body.append(instr)
-                    image.add(instr)
-                    ip += size
-                term = self._make_terminator(spec, ip, entry_ips)
-                image.add(term)
-                blocks[bid] = LayoutBlock(
-                    bid=bid,
-                    fid=spec.fid,
-                    entry_ip=entry_ips[bid],
-                    body=body,
-                    terminator=term,
-                    taken_bid=spec.taken_bid,
-                    fall_bid=spec.fall_bid,
-                    indirect_bids=list(spec.indirect_bids),
-                    terminator_kind=spec.terminator,
-                )
-                self._attach_behavior(
-                    spec, term, entry_ips, cond_behaviors, indirect_behaviors
-                )
+        trusted = Instruction.trusted
 
+        def lower(bid: int) -> None:
+            spec = specs[bid]
+            ip = entry_ips[bid]
+            body: List[Instruction] = []
+            for kind, uops, size in body_shapes[bid]:
+                body.append(trusted(ip, size, kind, uops))
+                ip += size
+            term = self._make_terminator(spec, ip, entry_ips)
+            blocks[bid] = LayoutBlock(
+                bid=bid,
+                fid=spec.fid,
+                entry_ip=entry_ips[bid],
+                body=body,
+                terminator=term,
+                taken_bid=spec.taken_bid,
+                fall_bid=spec.fall_bid,
+                indirect_bids=list(spec.indirect_bids),
+                terminator_kind=spec.terminator,
+            )
+            self._attach_behavior(
+                spec, term, entry_ips, cond_behaviors, indirect_behaviors
+            )
+
+        entry_bid = functions[0].entry_bid
         return Program(
-            image=image.freeze(),
-            blocks=blocks,
+            image=None,
+            blocks=LazyMapping(block_owners, blocks, lower),
             functions=functions,
-            entry_bid=functions[0].entry_bid,
-            cond_behaviors=cond_behaviors,
-            indirect_behaviors=indirect_behaviors,
+            entry_bid=entry_bid,
+            cond_behaviors=LazyMapping(cond_owners, cond_behaviors, lower),
+            indirect_behaviors=LazyMapping(
+                indirect_owners, indirect_behaviors, lower
+            ),
             suite=suite,
             name=name,
             seed=self.seed,
+            entry_ips=entry_ips,
+            static_uops=static_uops,
+            total_bytes=end_ip - entry_ips[entry_bid],
         )
 
     def _make_terminator(
@@ -642,9 +669,7 @@ class ProgramGenerator:
             else:
                 behavior = self._draw_cond_behavior(rng)
             cond_behaviors[term.ip] = behavior
-        elif spec.terminator in (
-            TerminatorKind.INDIRECT, TerminatorKind.INDIRECT_CALL
-        ):
+        elif spec.terminator in _INDIRECT_TERMINATORS:
             rng = self._rng.fork(10_000 + spec.bid)
             indirect_behaviors[term.ip] = IndirectBehavior(
                 targets=[entry_ips[b] for b in spec.indirect_bids],
