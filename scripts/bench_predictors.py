@@ -2,7 +2,7 @@
 """Microbenchmark: packed predictor implementations vs their references.
 
 The flat frontends inline the packed-array predictors, so their wins
-show up indirectly in ``repro bench``; this script measures each
+show up only indirectly in whole-frontend timings; this script measures each
 structure head-to-head on synthetic operation streams so a predictor
 regression is visible in isolation.  For every structure it drives the
 packed class and the reference class with the *same* pre-generated

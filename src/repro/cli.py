@@ -11,15 +11,10 @@ Commands map one-to-one onto the paper's artifacts:
   (``run`` / ``replay`` / ``minimize`` / ``report``, see
   ``docs/workloads.md``);
 - ``run`` — simulate one frontend on one synthetic trace;
-- ``bench`` — time the simulation core, write a ``BENCH_<rev>.json``;
 - ``info`` — describe the registry workloads (``--json`` for scripts);
 - ``serve`` / ``submit`` / ``jobs`` — the long-running simulation
   service and its client (see ``docs/serving.md``);
-- ``cache`` — manage the persistent trace/result cache (``prune``);
-- ``perf`` — continuous performance tracking: record bench reports
-  into a rev-keyed registry, view the calibrated trajectory
-  (``perf log`` / ``perf diff``), and run the statistical regression
-  gate (``perf gate``) — see ``docs/performance.md``.
+- ``cache`` — manage the persistent trace/result cache (``prune``).
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ from repro.harness.experiments import (
     run_fig10,
 )
 from repro.harness import results
-from repro.perf.cli import add_perf_parser, dispatch_perf
 from repro.program.profiles import SERVER_NAMES, SUITE_NAMES
 
 
@@ -244,46 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=400_000)
     p.add_argument("--size", type=int, default=8192)
 
-    p = sub.add_parser(
-        "bench", help="time trace generation and each frontend; "
-        "write BENCH_<rev>.json"
-    )
-    p.add_argument("--budget", type=int, default=150_000,
-                   help="dynamic trace length in uops (default 150000)")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller budget and one suite (CI smoke mode)")
-    p.add_argument("--frontend", action="append", default=None,
-                   choices=FRONTEND_KINDS, metavar="KIND",
-                   help="bench only these frontends (repeatable)")
-    p.add_argument("--phases", metavar="LIST", default=None,
-                   help="comma-separated phases to time: trace_gen, "
-                   "serve_load and/or frontend kinds (e.g. --phases "
-                   "tc,dc); traces are still generated, untimed, when "
-                   "trace_gen is filtered out but frontends run")
-    p.add_argument("--profile", metavar="FILE", default=None,
-                   help="also cProfile one xbc run, dump stats to FILE")
-    p.add_argument("--out", metavar="DIR", default=".",
-                   help="directory for BENCH_<rev>.json (default .)")
-    p.add_argument("--serve", action="store_true",
-                   help="also measure serve-mode request latency "
-                   "(cold + warm p50/p95 over HTTP)")
-    p.add_argument("--serve-load", action="store_true",
-                   help="also run the saturation load harness: many "
-                   "concurrent clients, mixed cold/warm traffic, one "
-                   "stage per --load-workers count")
-    p.add_argument("--load-workers", metavar="LIST", default=None,
-                   help="comma-separated worker counts for "
-                   "--serve-load stages (default 1,2,4)")
-    p.add_argument("--load-clients", type=int, default=16, metavar="N",
-                   help="concurrent load-harness clients (default 16)")
-    p.add_argument("--load-duration", type=float, default=4.0,
-                   metavar="SECONDS",
-                   help="timed window per --serve-load stage "
-                   "(default 4.0)")
-    p.add_argument("--registry", metavar="DIR", default=None,
-                   help="also record the report into this perf "
-                   "registry (see `repro perf`)")
-
     p = sub.add_parser("analyze", help="workload analysis: redundancy, "
                        "multi-entry XBs, reuse distances")
     p.add_argument("--suite", choices=SUITE_NAMES, default="specint")
@@ -398,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report what would be removed without deleting anything",
     )
 
-    add_perf_parser(sub)
-
     p = sub.add_parser(
         "serve", help="run the long-lived simulation service "
         "(see docs/serving.md)"
@@ -478,7 +430,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
-        # The consumer closed the pipe (`repro perf log | head`).
+        # The consumer closed the pipe (`repro info | head`).
         # Point stdout at devnull so the interpreter's shutdown flush
         # does not raise a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -574,52 +526,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             path = os.path.join(args.out, f"{spec.name}.trace")
             save_trace(trace, path)
             print(f"{path}: {trace.describe()}")
-    elif args.command == "bench":
-        from repro.bench import format_report, run_bench, write_report
-
-        try:
-            load_workers = None
-            if args.load_workers:
-                load_workers = [
-                    int(token) for token in args.load_workers.split(",")
-                    if token.strip()
-                ]
-            report = run_bench(
-                budget=args.budget,
-                quick=args.quick,
-                frontends=args.frontend,
-                profile_path=args.profile,
-                phases=args.phases.split(",") if args.phases else None,
-                serve_load=args.serve_load,
-                load_clients=args.load_clients,
-                load_duration=args.load_duration,
-                load_workers=load_workers,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        serve_line = None
-        if args.serve:
-            from repro.bench.serve import format_serve_bench, run_serve_bench
-
-            report["serve"] = run_serve_bench(
-                requests=8 if args.quick else 32,
-                length=min(args.budget, 20_000),
-            )
-            serve_line = format_serve_bench(report["serve"])
-        print(format_report(report))
-        if serve_line:
-            print(serve_line)
-        if report.get("serve_load"):
-            from repro.bench.serve import format_serve_load
-
-            print(format_serve_load(report["serve_load"]))
-        path = write_report(report, args.out, registry_dir=args.registry)
-        print(f"[report written to {path}]")
-        if args.registry:
-            print(f"[perf] recorded {report['rev']} into {args.registry}")
-        if args.profile:
-            print(f"[profile written to {args.profile}]")
     elif args.command == "info":
         import json as _json
 
@@ -635,7 +541,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                                  traces=descriptions)
             print(_json.dumps(document, indent=2, sort_keys=True))
             return 0
-        from repro.sysinfo import profiles_data
+        from repro.sysinfo import host_data, profiles_data
 
         for item in descriptions:
             print(item["describe"])
@@ -667,12 +573,14 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
         else:
             print(f"[persistent cache] {root}: empty (no cache directory)")
+        host = host_data()
         print()
-        _print_perf_info()
+        print(
+            f"[host] python {host['python']} ({host['implementation']}), "
+            f"{host['cpu_count']} cpus, {host['platform']}"
+        )
     elif args.command == "cache":
         return _dispatch_cache(args)
-    elif args.command == "perf":
-        return dispatch_perf(args)
     elif args.command == "serve":
         return _dispatch_serve(args)
     elif args.command == "submit":
@@ -1114,34 +1022,6 @@ def _format_corpus(corpus) -> str:
         rows,
         title=title,
     )
-
-
-def _print_perf_info() -> None:
-    """The ``info`` perf section: machine context + last bench report.
-
-    Text rendering of the same data ``repro info --json`` exposes under
-    ``perf`` (see :mod:`repro.sysinfo`).
-    """
-    from repro.sysinfo import host_data, latest_bench_report
-
-    host = host_data()
-    print(
-        f"[perf] python {host['python']} "
-        f"({host['implementation']}), "
-        f"{host['cpu_count']} cpus, {host['platform']}"
-    )
-    report = latest_bench_report()
-    if report is None:
-        print("[perf] no BENCH_*.json found (run `repro bench`)")
-        return
-    phases = report.get("phases", {})
-    summary = ", ".join(
-        f"{name.removeprefix('frontend_')}="
-        f"{phase['uops_per_sec']:,.0f} uops/s"
-        for name, phase in phases.items()
-    )
-    print(f"[perf] last bench {report['_path']} @ "
-          f"{report.get('rev', '?')}: {summary}")
 
 
 if __name__ == "__main__":  # pragma: no cover

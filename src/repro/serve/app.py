@@ -8,7 +8,7 @@ and the event stream is newline-delimited JSON written incrementally.
 Routes::
 
     GET  /healthz            liveness + drain state
-    GET  /metrics            live counters + cache/perf info (JSON)
+    GET  /metrics            live counters + cache/host info (JSON)
     POST /jobs               submit a job request (protocol.parse_job)
     GET  /jobs               list known jobs (no result payloads)
     GET  /jobs/<id>          one job, result included when done

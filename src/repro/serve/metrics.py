@@ -4,9 +4,7 @@ One :class:`ServiceMetrics` instance is shared by the HTTP layer and
 the scheduler; ``GET /metrics`` renders :meth:`ServiceMetrics.snapshot`
 as JSON.  Everything is plain counters plus fixed-bucket latency
 histograms (:data:`LATENCY_BUCKET_BOUNDS`) — cheap enough to update on
-every request, with quantiles computed only when a snapshot is taken,
-and binned identically to the ``repro bench --serve-load`` harness so
-both report comparable p50/p99.
+every request, with quantiles computed only when a snapshot is taken.
 
 All updates happen on the event-loop thread (engine observer events
 are trampolined there by the scheduler), so no locking is needed.
@@ -31,10 +29,8 @@ def _log_bounds(lo: float, hi: float, per_decade: int) -> tuple:
     return tuple(bounds)
 
 
-#: Shared histogram bucket upper bounds, in seconds: 100 µs to ~100 s,
-#: 8 buckets per decade (~33% resolution).  The serve ``/metrics``
-#: endpoint and the ``--serve-load`` harness both bin with these, so a
-#: human comparing the two reads percentiles from identical buckets.
+#: Histogram bucket upper bounds, in seconds: 100 µs to ~100 s,
+#: 8 buckets per decade (~33% resolution).
 LATENCY_BUCKET_BOUNDS = _log_bounds(1e-4, 100.0, per_decade=8)
 
 
@@ -42,9 +38,7 @@ class LatencyHistogram:
     """Fixed-bucket latency histogram with quantile estimates.
 
     Buckets are log-spaced and *fixed* (:data:`LATENCY_BUCKET_BOUNDS`
-    by default), so histograms from different processes — N serve
-    shards, the load harness's client threads — can be merged by
-    adding counts, and a quantile read anywhere means the same thing.
+    by default), so a quantile read anywhere means the same thing.
     A quantile is reported as the upper bound of the bucket holding
     that rank (a ≤33% overestimate, never an underestimate).
     """
@@ -64,16 +58,6 @@ class LatencyHistogram:
         self.total += seconds
         if seconds > self.max:
             self.max = seconds
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold *other* (same bounds) into this histogram."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.count += other.count
-        self.total += other.total
-        self.max = max(self.max, other.max)
 
     def quantile(self, q: float) -> Optional[float]:
         """Upper bound of the bucket holding the *q*-rank observation."""
@@ -134,8 +118,7 @@ class ServiceMetrics:
         self.engine_cache_hits = 0   #: jobs served by the result cache
         self.uops_delivered = 0      #: trace uops of completed sim work
         self.busy_seconds = 0.0      #: summed per-job engine wall time
-        #: submit -> terminal latency of completed jobs (fixed-bucket
-        #: histogram: p50/p95/p99 comparable with the load harness).
+        #: submit -> terminal latency of completed jobs.
         self.job_latency = LatencyHistogram()
         #: wall time of whole engine batches.
         self.batch_latency = LatencyHistogram()
@@ -228,9 +211,9 @@ def merge_sysinfo(snapshot: Dict[str, object],
     Reuses the same machine-readable builders as ``repro info --json``
     so scripts see one schema in both places.
     """
-    from repro.sysinfo import cache_data, perf_data
+    from repro.sysinfo import cache_data, host_data
 
     merged = dict(snapshot)
     merged["cache"] = cache_data(cache_root)
-    merged["perf"] = perf_data()
+    merged["host"] = host_data()
     return merged

@@ -1,4 +1,4 @@
-"""Machine-readable host / cache / perf info.
+"""Machine-readable host / cache / profile info.
 
 ``repro info --json`` and the serve layer's ``/metrics`` endpoint both
 render these dicts, so scripts get one stable schema instead of
@@ -7,8 +7,6 @@ scraping the human-readable ``repro info`` text.
 
 from __future__ import annotations
 
-import glob
-import json
 import os
 import platform
 from typing import Any, Dict, Optional
@@ -48,46 +46,6 @@ def cache_data(root: Optional[str] = None) -> Dict[str, Any]:
             "entries": disk.results.entries, "bytes": disk.results.bytes,
         },
     }
-
-
-def latest_bench_report(search_dir: str = ".") -> Optional[Dict[str, Any]]:
-    """The newest readable ``BENCH_*.json`` under *search_dir*, if any."""
-    newest = None
-    for path in glob.glob(os.path.join(search_dir, "BENCH_*.json")):
-        try:
-            mtime = os.path.getmtime(path)
-            if newest is None or mtime > newest[0]:
-                with open(path, "r", encoding="utf-8") as handle:
-                    newest = (mtime, path, json.load(handle))
-        except (OSError, ValueError):
-            continue
-    if newest is None:
-        return None
-    _, path, report = newest
-    report = dict(report)
-    report["_path"] = path
-    return report
-
-
-def perf_data(search_dir: str = ".") -> Dict[str, Any]:
-    """The ``[perf]`` section of ``repro info`` as data."""
-    payload: Dict[str, Any] = {"host": host_data()}
-    report = latest_bench_report(search_dir)
-    if report is None:
-        payload["bench"] = None
-        return payload
-    payload["bench"] = {
-        "path": report.get("_path"),
-        "rev": report.get("rev"),
-        "budget_uops": report.get("budget_uops"),
-        "calibration_ops_per_sec": report.get("calibration_ops_per_sec"),
-        "phases": {
-            name: {"uops_per_sec": phase.get("uops_per_sec"),
-                   "seconds": phase.get("seconds")}
-            for name, phase in report.get("phases", {}).items()
-        },
-    }
-    return payload
 
 
 def profiles_data() -> list:
@@ -132,5 +90,5 @@ def info_data(cache_root: Optional[str] = None,
             "misses": memory.misses,
         },
         "cache": cache_data(cache_root),
-        "perf": perf_data(),
+        "host": host_data(),
     }

@@ -45,31 +45,6 @@ class TestLatencyHistogram:
         histogram.record(500.0)  # beyond the last bound (~100 s)
         assert histogram.quantile(0.99) == pytest.approx(500.0)
 
-    def test_merge_is_count_additive(self):
-        """Merging per-thread histograms must equal recording every
-        sample into one — the property the load harness relies on."""
-        merged = LatencyHistogram()
-        reference = LatencyHistogram()
-        chunks = [[0.001, 0.02], [0.005, 0.3, 2.0], [0.0001]]
-        for chunk in chunks:
-            part = LatencyHistogram()
-            for sample in chunk:
-                part.record(sample)
-                reference.record(sample)
-            merged.merge(part)
-        assert merged.counts == reference.counts
-        assert merged.count == reference.count
-        assert merged.max == reference.max
-        assert merged.total == pytest.approx(reference.total)
-        for q in (0.5, 0.95, 0.99):
-            assert merged.quantile(q) == reference.quantile(q)
-
-    def test_merge_rejects_mismatched_bounds(self):
-        histogram = LatencyHistogram()
-        other = LatencyHistogram(bounds=(0.1, 1.0))
-        with pytest.raises(ValueError):
-            histogram.merge(other)
-
     def test_shared_bounds_cover_serving_range(self):
         """100 µs to 100 s: sub-ms warm hits and multi-second cold
         simulations both land inside the binned range."""
