@@ -20,6 +20,7 @@ Commands map one-to-one onto the paper's artifacts:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -368,10 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-window", type=float, default=0.05,
                    metavar="SECONDS",
                    help="how long to gather a batch (default 0.05)")
-    p.add_argument("--serve-workers", type=int, default=1, metavar="N",
-                   help="engine worker processes behind the scheduler; "
-                   ">1 shards jobs by key over N persistent workers "
-                   "(default 1 = classic in-process engine)")
     _add_exec_args(p)
 
     p = sub.add_parser(
@@ -602,8 +599,8 @@ def _parse_age(text: str) -> float:
         raise ConfigError(
             f"bad age {text!r}; expected e.g. 45s, 30m, 12h, 7d"
         ) from None
-    if value < 0:
-        raise ConfigError(f"age must be >= 0, got {text!r}")
+    if not math.isfinite(value) or value < 0:
+        raise ConfigError(f"age must be finite and >= 0, got {text!r}")
     return value * (factor or 1.0)
 
 
@@ -619,8 +616,8 @@ def _parse_size_bytes(text: str) -> int:
         raise ConfigError(
             f"bad size {text!r}; expected e.g. 500K, 200M, 2G"
         ) from None
-    if value < 0:
-        raise ConfigError(f"size must be >= 0, got {text!r}")
+    if not math.isfinite(value) or value < 0:
+        raise ConfigError(f"size must be finite and >= 0, got {text!r}")
     return int(value * (factor or 1))
 
 
@@ -660,7 +657,7 @@ def _dispatch_cache(args: argparse.Namespace) -> int:
         root, max_age=max_age, max_bytes=max_bytes, dry_run=args.dry_run
     )
     verb = "would remove" if args.dry_run else "removed"
-    for name in ("traces", "results", "manifests", "claims"):
+    for name in ("traces", "results", "manifests"):
         report = reports[name]
         print(
             f"[{name}] {verb} {report.removed_entries} entries "
@@ -690,7 +687,6 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
         queue_size=args.queue_size,
         batch_max=args.batch_max,
         batch_window=args.batch_window,
-        serve_workers=args.serve_workers,
     )
     return run_server(app)
 

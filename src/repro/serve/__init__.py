@@ -11,10 +11,8 @@ answers requests over HTTP.  This package provides exactly that:
   validation;
 - :mod:`repro.serve.scheduler` — single-flight coalescing on the
   engine's content-addressed job key, batching into engine runs,
-  bounded-queue backpressure, graceful drain with a resubmit
-  manifest, and key-sharded multi-worker dispatch;
-- :mod:`repro.serve.pool` — persistent engine worker processes (one
-  per shard) with crash respawn and batch retry;
+  bounded-queue backpressure and graceful drain with a resubmit
+  manifest;
 - :mod:`repro.serve.app` — the stdlib asyncio HTTP surface
   (``/jobs``, NDJSON event streams, ``/healthz``, ``/metrics``);
 - :mod:`repro.serve.metrics` — live request/queue/latency/throughput
@@ -47,14 +45,12 @@ from repro.serve.metrics import (
     LatencyHistogram,
     ServiceMetrics,
 )
-from repro.serve.pool import PoolError, ShardWorker
 from repro.serve.protocol import ProtocolError, parse_job, request_key
 from repro.serve.scheduler import (
     Backpressure,
     Draining,
     JobEntry,
     Scheduler,
-    shard_for_key,
 )
 
 __all__ = [
@@ -65,11 +61,9 @@ __all__ = [
     "JobEntry",
     "LATENCY_BUCKET_BOUNDS",
     "LatencyHistogram",
-    "PoolError",
     "ProtocolError",
     "RetryPolicy",
     "Scheduler",
-    "ShardWorker",
     "ServeApp",
     "ServeClient",
     "ServeError",
@@ -80,6 +74,5 @@ __all__ = [
     "parse_job",
     "request_key",
     "run_server",
-    "shard_for_key",
     "submit_or_inline",
 ]

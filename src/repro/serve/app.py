@@ -258,7 +258,6 @@ class ServeApp:
             "ready": not self.scheduler.draining,
             "queue_depth": self.scheduler.queue_depth,
             "inflight": self.scheduler.inflight,
-            "shards": self.scheduler.shards,
             "uptime_seconds": round(
                 time.monotonic() - self.metrics.started, 3
             ),
@@ -269,8 +268,6 @@ class ServeApp:
             queue_depth=self.scheduler.queue_depth,
             inflight=self.scheduler.inflight,
             draining=self.scheduler.draining,
-            queue_depths=self.scheduler.queue_depths,
-            inflights=self.scheduler.inflights,
         )
         return merge_sysinfo(snapshot, self.cache_root)
 
@@ -364,14 +361,8 @@ def build_app(
     batch_max: int = 8,
     batch_window: float = 0.05,
     drain_manifest_dir: Optional[str] = None,
-    serve_workers: int = 1,
 ) -> ServeApp:
-    """Assemble metrics + scheduler + app with one policy.
-
-    *serve_workers* > 1 shards the scheduler over that many persistent
-    engine worker processes (see ``docs/serving.md``); 1 keeps the
-    classic single-process inline engine.
-    """
+    """Assemble metrics + scheduler + app with one policy."""
     policy = policy or ExecPolicy()
     metrics = ServiceMetrics()
     scheduler = Scheduler(
@@ -380,7 +371,6 @@ def build_app(
         batch_max=batch_max,
         batch_window=batch_window,
         metrics=metrics,
-        shards=max(1, serve_workers),
     )
     cache_root = policy.resolved_cache_dir() if policy.use_cache else None
     if drain_manifest_dir is None and cache_root:
@@ -403,8 +393,6 @@ def run_server(app: ServeApp, quiet: bool = False) -> int:
                 f"[serve] listening on http://{app.host}:{app.port} "
                 f"(queue={app.scheduler.queue_size}, "
                 f"workers={app.scheduler.policy.workers}, "
-                f"shards={app.scheduler.shards}"
-                f"{' pooled' if app.scheduler.use_pool else ''}, "
                 f"batch={app.scheduler.batch_max})",
                 file=sys.stderr, flush=True,
             )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 
 def _log_bounds(lo: float, hi: float, per_decade: int) -> tuple:
@@ -147,14 +147,8 @@ class ServiceMetrics:
 
     def snapshot(
         self, queue_depth: int = 0, inflight: int = 0, draining: bool = False,
-        queue_depths: Optional[List[int]] = None,
-        inflights: Optional[List[int]] = None,
     ) -> Dict[str, object]:
-        """The ``/metrics`` document (gauges passed in by the caller).
-
-        *queue_depths* / *inflights*, when given, are the per-shard
-        gauges of a multi-worker scheduler (one element per shard).
-        """
+        """The ``/metrics`` document (gauges passed in by the caller)."""
         ups = self.uops_per_sec()
         ratio = self.cache_hit_ratio()
         jobs: Dict[str, object] = {
@@ -168,11 +162,6 @@ class ServiceMetrics:
             "queue_depth": queue_depth,
             "inflight": inflight,
         }
-        if queue_depths is not None:
-            jobs["shards"] = len(queue_depths)
-            jobs["queue_depths"] = list(queue_depths)
-        if inflights is not None:
-            jobs["inflights"] = list(inflights)
         return {
             "uptime_seconds": round(time.monotonic() - self.started, 3),
             "draining": draining,

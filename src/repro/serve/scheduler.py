@@ -13,65 +13,34 @@ simulation service needs:
 - **batching** — queued jobs are gathered (up to ``batch_max`` within
   ``batch_window`` seconds) into one engine run so they share the
   engine's worker pool and per-run overheads;
-- **backpressure + drain** — intake queues are bounded; a full queue
-  rejects with :class:`Backpressure` (HTTP 429), and :meth:`drain`
-  stops intake, lets in-flight batches finish, cancels queued
-  entries and persists their requests to a resubmit manifest;
-- **sharding** — with ``shards > 1`` the scheduler runs N independent
-  queue/run-loop pairs, each backed by a persistent
-  :class:`~repro.serve.pool.ShardWorker` engine process.  Job keys
-  are consistent-hashed to a shard (:func:`shard_for_key`, rendezvous
-  hashing), so identical keys always land on the same shard and
-  single-flight coalescing keeps working per-shard; cross-shard (and
-  cross-process) duplicate suppression is the cache-claim layer's
-  job (``ExecPolicy.coordinate``).
+- **backpressure + drain** — the intake queue is bounded; a full
+  queue rejects with :class:`Backpressure` (HTTP 429), and
+  :meth:`drain` stops intake, lets the in-flight batch finish,
+  cancels queued entries and persists their requests to a resubmit
+  manifest.
 
-Everything here runs on the event loop; engines run on worker threads
-(inline via :meth:`ExecutionEngine.run_async`, pooled via
-:meth:`ShardWorker.run_batch` in an executor) and observer events are
-trampolined back with ``call_soon_threadsafe``.
+Everything here runs on the event loop; the engine runs on a worker
+thread via :meth:`ExecutionEngine.run_async` (fanning cold misses out
+to ``policy.workers`` processes) and observer events are trampolined
+back with ``call_soon_threadsafe``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import math
 import os
 import time
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ReproError
 from repro.exec.engine import ExecPolicy, ExecutionEngine, job_key
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.pool import PoolError, ShardWorker
 from repro.serve.protocol import job_request
 
-#: Queue sentinel that tells a run loop to exit after its batch.
+#: Queue sentinel that tells the run loop to exit after its batch.
 _SENTINEL = object()
-
-
-def shard_for_key(key: str, shards: int) -> int:
-    """Consistent shard assignment by rendezvous (HRW) hashing.
-
-    Every (key, shard) pair gets a stable pseudo-random weight; the
-    key goes to the highest.  Unlike ``hash(key) % shards`` this moves
-    only ~1/N of the keyspace when the shard count changes, so warm
-    per-shard coalescing state survives a resize mostly intact.
-    """
-    if shards <= 1:
-        return 0
-    best_shard = 0
-    best_weight = -1
-    for shard in range(shards):
-        digest = hashlib.sha256(f"{key}|{shard}".encode("utf-8")).digest()
-        weight = int.from_bytes(digest[:8], "big")
-        if weight > best_weight:
-            best_weight = weight
-            best_shard = shard
-    return best_shard
 
 
 class Backpressure(ReproError):
@@ -157,8 +126,6 @@ class Scheduler:
         batch_window: float = 0.05,
         metrics: Optional[ServiceMetrics] = None,
         history_limit: int = 512,
-        shards: int = 1,
-        use_pool: Optional[bool] = None,
     ) -> None:
         self.policy = policy or ExecPolicy()
         self.queue_size = queue_size
@@ -166,56 +133,24 @@ class Scheduler:
         self.batch_window = batch_window
         self.metrics = metrics or ServiceMetrics()
         self.history_limit = history_limit
-        self.shards = max(1, shards)
-        #: pool mode runs each shard on a persistent worker process;
-        #: inline mode (the shards=1 default) runs engine batches on
-        #: this process the way single-worker serving always has.
-        self.use_pool = (self.shards > 1) if use_pool is None else use_pool
-        #: the policy shard engines run: pooled shards get their
-        #: parallelism from being processes, so each worker runs its
-        #: engine inline (no nested pool) with cache-claim
-        #: coordination against its sibling shards.
-        self.shard_policy = (
-            replace(self.policy, workers=1,
-                    coordinate=self.policy.use_cache)
-            if self.use_pool else self.policy
-        )
         self.draining = False
         self._entries: Dict[str, JobEntry] = {}
-        self._queues: List[asyncio.Queue] = [
-            asyncio.Queue(maxsize=queue_size) for _ in range(self.shards)
-        ]
-        self._inflight = [0] * self.shards
+        self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
+        self._inflight = 0
         self._seq = 0
-        self._runners: List[asyncio.Task] = []
-        self._workers: List[Optional[ShardWorker]] = [None] * self.shards
-        #: inline engine batches swap a process-global trace store in
-        #: registry.set_trace_store; with several inline shard loops
-        #: that swap must not interleave.
-        self._inline_lock = asyncio.Lock()
+        self._runner: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Start the run loops (must be called with a running loop)."""
-        if self._runners:
+        """Start the run loop (must be called with a running loop)."""
+        if self._runner is not None:
             return
-        loop = asyncio.get_running_loop()
-        if self.use_pool:
-            for shard in range(self.shards):
-                if self._workers[shard] is None:
-                    self._workers[shard] = ShardWorker(
-                        shard, self.shard_policy
-                    )
-        self._runners = [
-            loop.create_task(
-                self._run_loop(shard),
-                name=f"repro-serve-scheduler-{shard}",
-            )
-            for shard in range(self.shards)
-        ]
+        self._runner = asyncio.get_running_loop().create_task(
+            self._run_loop(), name="repro-serve-scheduler"
+        )
 
     async def drain(
         self, manifest_dir: Optional[str] = None
@@ -229,14 +164,12 @@ class Scheduler:
         """
         self.draining = True
         cancelled: List[JobEntry] = []
-        for queue in self._queues:
-            while True:
-                try:
-                    entry = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if entry is _SENTINEL:
-                    continue
+        while True:
+            try:
+                entry = self._queue.get_nowait()
+            except asyncio.QueueEmpty:
+                break
+            if entry is not _SENTINEL:
                 cancelled.append(entry)
         for entry in cancelled:
             entry.status = "cancelled"
@@ -246,15 +179,10 @@ class Scheduler:
             self.metrics.jobs_cancelled += 1
             self._publish(entry, {"event": "cancelled"})
             entry.done_event.set()
-        for queue in self._queues:
-            await queue.put(_SENTINEL)
-        if self._runners:
-            await asyncio.gather(*self._runners)
-            self._runners = []
-        for shard, worker in enumerate(self._workers):
-            if worker is not None:
-                worker.stop()
-                self._workers[shard] = None
+        await self._queue.put(_SENTINEL)
+        if self._runner is not None:
+            await self._runner
+            self._runner = None
         manifest_path = None
         requests = [
             entry.request or job_request(entry.job)
@@ -317,9 +245,8 @@ class Scheduler:
         if self.draining:
             raise Draining("server is draining; submit again later")
         entry = JobEntry(key, job, request)
-        shard = shard_for_key(key, self.shards)
         try:
-            self._queues[shard].put_nowait(entry)
+            self._queue.put_nowait(entry)
         except asyncio.QueueFull:
             self.metrics.jobs_rejected += 1
             raise Backpressure(self.retry_after_hint()) from None
@@ -339,33 +266,19 @@ class Scheduler:
 
     @property
     def queue_depth(self) -> int:
-        """Jobs accepted but not yet handed to an engine (all shards)."""
-        return sum(queue.qsize() for queue in self._queues)
-
-    @property
-    def queue_depths(self) -> List[int]:
-        """Per-shard accepted-but-unstarted job counts."""
-        return [queue.qsize() for queue in self._queues]
+        """Jobs accepted but not yet handed to the engine."""
+        return self._queue.qsize()
 
     @property
     def inflight(self) -> int:
-        """Jobs inside currently-running engine batches (all shards)."""
-        return sum(self._inflight)
-
-    @property
-    def inflights(self) -> List[int]:
-        """Per-shard in-batch job counts."""
-        return list(self._inflight)
+        """Jobs inside the currently-running engine batch."""
+        return self._inflight
 
     def retry_after_hint(self) -> int:
         """A 429 ``Retry-After`` estimate from observed job latency."""
         mean = self.metrics.job_latency.mean() or 1.0
-        # Effective parallelism: pooled shards are one process each
-        # (their engines run inline); otherwise the engine's own pool.
-        workers = self.shards if self.use_pool else max(
-            1, self.policy.workers
-        )
         backlog = self.queue_depth + self.inflight
+        workers = max(1, self.policy.workers)
         return max(1, min(60, math.ceil(mean * backlog / workers)))
 
     # ------------------------------------------------------------------
@@ -422,9 +335,9 @@ class Scheduler:
     # run loop
     # ------------------------------------------------------------------
 
-    async def _run_loop(self, shard: int) -> None:
+    async def _run_loop(self) -> None:
         loop = asyncio.get_running_loop()
-        queue = self._queues[shard]
+        queue = self._queue
         while True:
             entry = await queue.get()
             if entry is _SENTINEL:
@@ -444,14 +357,17 @@ class Scheduler:
                     stop_after = True
                     break
                 batch.append(extra)
-            await self._execute_batch(shard, batch)
+            await self._execute_batch(batch)
             if stop_after:
                 return
 
-    async def _execute_batch(
-        self, shard: int, batch: List[JobEntry]
-    ) -> None:
-        self._inflight[shard] = len(batch)
+    async def _execute_batch(self, batch: List[JobEntry]) -> None:
+        loop = asyncio.get_running_loop()
+
+        def observer(event: Dict[str, Any]) -> None:
+            loop.call_soon_threadsafe(self._on_engine_event, batch, event)
+
+        self._inflight = len(batch)
         self.metrics.engine_runs += 1
         for entry in batch:
             entry.status = "running"
@@ -460,89 +376,34 @@ class Scheduler:
             self._publish(entry, {"event": "running"})
         batch_start = time.perf_counter()
         try:
-            if self.use_pool:
-                outcomes = await self._pool_batch(shard, batch)
-            else:
-                outcomes = await self._inline_batch(batch)
-        except Exception as exc:  # engine invariant failure, not a job error
-            for entry in batch:
-                self._finish(entry, error=f"{type(exc).__name__}: {exc}")
-            self._inflight[shard] = 0
-            return
-        self.metrics.batch_latency.record(time.perf_counter() - batch_start)
-        for entry, outcome in zip(batch, outcomes):
-            if outcome["ok"]:
-                self._finish(
-                    entry,
-                    payload=outcome["payload"],
-                    cached=outcome["cached"],
-                    attempts=outcome["attempts"],
-                )
-            else:
-                entry.attempts = outcome["attempts"]
-                self._finish(entry, error=outcome["error"])
-        self._inflight[shard] = 0
-
-    async def _inline_batch(
-        self, batch: List[JobEntry]
-    ) -> List[Dict[str, Any]]:
-        """Run one batch on an engine in this process.
-
-        With several inline shards the batches are serialized: the
-        engine swaps a process-global trace store while it runs, and
-        two concurrent swaps would race.  (Pool mode has no such
-        serialization — that is where multi-worker throughput comes
-        from.)
-        """
-        loop = asyncio.get_running_loop()
-
-        def observer(event: Dict[str, Any]) -> None:
-            loop.call_soon_threadsafe(self._on_engine_event, batch, event)
-
-        engine = ExecutionEngine(self.policy)
-        async with self._inline_lock:
-            results = await engine.run_async(
+            results = await ExecutionEngine(self.policy).run_async(
                 [entry.job for entry in batch],
                 label="serve",
                 observer=observer,
                 strict=False,
             )
-        outcomes: List[Dict[str, Any]] = []
-        for entry, result in zip(batch, results):
+            payloads = [
+                entry.job.encode_result(result.value) if result.ok else None
+                for entry, result in zip(batch, results)
+            ]
+        except Exception as exc:  # engine invariant failure, not a job error
+            for entry in batch:
+                self._finish(entry, error=f"{type(exc).__name__}: {exc}")
+            self._inflight = 0
+            return
+        self.metrics.batch_latency.record(time.perf_counter() - batch_start)
+        for entry, result, payload in zip(batch, results, payloads):
             if result.ok:
-                outcomes.append({
-                    "ok": True,
-                    "payload": entry.job.encode_result(result.value),
-                    "cached": result.cached,
-                    "attempts": result.attempts,
-                })
+                self._finish(
+                    entry,
+                    payload=payload,
+                    cached=result.cached,
+                    attempts=result.attempts,
+                )
             else:
-                outcomes.append({
-                    "ok": False,
-                    "error": result.error,
-                    "attempts": result.attempts,
-                })
-        return outcomes
-
-    async def _pool_batch(
-        self, shard: int, batch: List[JobEntry]
-    ) -> List[Dict[str, Any]]:
-        """Run one batch on this shard's persistent worker process."""
-        loop = asyncio.get_running_loop()
-        worker = self._workers[shard]
-        if worker is None:  # drain already stopped the pool
-            raise PoolError(f"shard {shard} has no worker")
-
-        def on_event(event: Dict[str, Any]) -> None:
-            loop.call_soon_threadsafe(self._on_engine_event, batch, event)
-
-        return await loop.run_in_executor(
-            None,
-            worker.run_batch,
-            f"serve-s{shard}",
-            [entry.job for entry in batch],
-            on_event,
-        )
+                entry.attempts = result.attempts
+                self._finish(entry, error=result.error)
+        self._inflight = 0
 
     def _on_engine_event(
         self, batch: List[JobEntry], event: Dict[str, Any]
@@ -588,12 +449,7 @@ class Scheduler:
         payload: Any = None, error: str = "",
         cached: bool = False, attempts: int = 0,
     ) -> None:
-        """Mark *entry* terminal with an already-encoded *payload*.
-
-        Both execution paths hand over the encoded form (the pool
-        worker encodes in the child with the same ``encode_result``),
-        so pooled and inline results are byte-identical on the wire.
-        """
+        """Mark *entry* terminal with an already-encoded *payload*."""
         entry.finished = time.time()
         entry._mono_finished = time.monotonic()
         if error:

@@ -9,7 +9,9 @@ one engine execution, and error mapping must be precise (400/404/405/
 
 from __future__ import annotations
 
+import glob
 import json
+import os
 import threading
 
 import pytest
@@ -206,3 +208,52 @@ def test_full_queue_maps_to_429_with_retry_after(tmp_path):
     assert summary is not None
     assert summary["cancelled"] == 1
     assert summary["requests"] == [{**REQUEST, "index": 1}]
+
+
+def test_multi_core_batch_is_byte_identical_to_single_core(tmp_path):
+    """``repro serve --jobs 2``: four distinct cold requests share one
+    batch, so the engine fans them out to its process pool; payloads
+    match the single-process server byte for byte, cold and warm."""
+    requests = [
+        {**REQUEST, "frontend": frontend, "length": length}
+        for frontend in ("xbc", "tc")
+        for length in (2_000, 3_000)
+    ]
+
+    def serve_all(workers: int):
+        cache_dir = str(tmp_path / f"cache-{workers}")
+        policy = ExecPolicy(
+            workers=workers, use_cache=True, cache_dir=cache_dir,
+            max_attempts=1, progress=False,
+        )
+        # batch_max closes the batch at the fourth job; the window
+        # only has to outlast four sequential submits.
+        app = build_app(
+            policy=policy, port=0, batch_max=len(requests),
+            batch_window=10.0,
+        )
+        background = BackgroundServer(app)
+        client = ServeClient(background.start(), timeout=60.0)
+        try:
+            payloads = {}
+            for phase in ("cold", "warm"):
+                job_ids = [client.submit(r)["job_id"] for r in requests]
+                for job_id in job_ids:
+                    document = client.wait(job_id, timeout=60.0)
+                    assert document["status"] == "done", document
+                    payloads[(phase, job_id)] = canonical(document["result"])
+            engine = client.metrics()["engine"]
+        finally:
+            background.stop()
+        assert engine["runs"] == 1
+        assert engine["executed"] == len(requests)
+        (path,) = glob.glob(os.path.join(cache_dir, "manifests", "*.json"))
+        with open(path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        return payloads, {record["worker"] for record in manifest["jobs"]}
+
+    single, single_pids = serve_all(1)
+    multi, multi_pids = serve_all(2)
+    assert single == multi
+    assert single_pids == {os.getpid()}
+    assert os.getpid() not in multi_pids

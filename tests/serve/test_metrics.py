@@ -62,20 +62,3 @@ class TestServiceMetricsSnapshot:
         assert latency["count"] == 2
         assert latency["p50_ms"] is not None
         assert latency["p99_ms"] is not None
-
-    def test_per_shard_gauges_present_when_sharded(self):
-        metrics = ServiceMetrics()
-        snapshot = metrics.snapshot(
-            queue_depth=3, inflight=2,
-            queue_depths=[1, 2], inflights=[0, 2],
-        )
-        jobs = snapshot["jobs"]
-        assert jobs["shards"] == 2
-        assert jobs["queue_depths"] == [1, 2]
-        assert jobs["inflights"] == [0, 2]
-        assert jobs["queue_depth"] == 3
-
-    def test_per_shard_gauges_absent_single_worker(self):
-        snapshot = ServiceMetrics().snapshot(queue_depth=1, inflight=0)
-        assert "shards" not in snapshot["jobs"]
-        assert "queue_depths" not in snapshot["jobs"]
