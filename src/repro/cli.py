@@ -91,9 +91,20 @@ def _run_all(args) -> None:
     print(f"[wrote {len(artifacts)} x (txt, csv) into {args.out}/]")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_registry_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--traces-per-suite", type=int, default=3,
+        "--traces-per-suite", type=_positive_int, default=3,
         help="synthetic traces per suite (default 3; paper used 8/8/5)",
     )
     parser.add_argument(
@@ -101,7 +112,7 @@ def _add_registry_args(parser: argparse.ArgumentParser) -> None:
         help="use the paper's 8/8/5 trace counts",
     )
     parser.add_argument(
-        "--length", type=int, default=150_000,
+        "--length", type=_positive_int, default=150_000,
         help="dynamic trace length in uops (default 150000)",
     )
     parser.add_argument(
@@ -236,14 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=0)
     # The columnar core made longer default runs free; experiments
     # keep their own pinned lengths, so results are unaffected.
-    p.add_argument("--length", type=int, default=400_000)
+    p.add_argument("--length", type=_positive_int, default=400_000)
     p.add_argument("--size", type=int, default=8192)
 
     p = sub.add_parser("analyze", help="workload analysis: redundancy, "
                        "multi-entry XBs, reuse distances")
     p.add_argument("--suite", choices=SUITE_NAMES, default="specint")
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--length", type=int, default=100_000)
+    p.add_argument("--length", type=_positive_int, default=100_000)
 
     p = sub.add_parser(
         "sweep", help="sweep XBC config fields over the registry"
@@ -274,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="profile anchoring the space (default server-web)")
     fp.add_argument("--size", type=int, default=8192,
                     help="frontend uop budget (default 8192)")
-    fp.add_argument("--length", type=int, default=40_000,
+    fp.add_argument("--length", type=_positive_int, default=40_000,
                     help="trace length per candidate (default 40000)")
     fp.add_argument("--explore", type=float, default=0.5,
                     help="random-restart probability (default 0.5)")

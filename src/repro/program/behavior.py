@@ -102,23 +102,6 @@ class LoopBehavior(BranchBehavior):
         self._remaining = None
         return False
 
-    def taken_run(self, cap: int) -> int:
-        """Commit a run of up to *cap* consecutive taken outcomes.
-
-        Equivalent to calling :meth:`next_taken` ``k`` times where all
-        ``k`` calls return True — the trip count is drawn at the same
-        point in the RNG stream — leaving the behaviour one outcome
-        short of the loop exit when the run is not budget-capped.  The
-        executor uses this to batch stable loop iterations.
-        """
-        if self._remaining is None:
-            self._remaining = self._draw_trip()
-        k = self._remaining - 1
-        if k > cap:
-            k = cap
-        self._remaining -= k
-        return k
-
     def reset(self) -> None:
         self._remaining = None
         self._rng.reset()

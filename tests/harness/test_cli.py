@@ -12,6 +12,25 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "xbc", "--length", "-5"],
+    ["run", "xbc", "--length", "0"],
+    ["analyze", "--length", "0"],
+    ["fig8", "--traces-per-suite", "0"],
+    ["fig8", "--length", "-5"],
+    ["all", "--traces-per-suite", "-1"],
+    ["sweep", "--length", "0"],
+    ["generate", "--traces-per-suite", "0"],
+    ["info", "--length", "0"],
+    ["fuzz", "run", "--length", "0"],
+])
+def test_non_positive_counts_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_fig1(capsys):
     assert main(["fig1"] + FAST) == 0
     out = capsys.readouterr().out

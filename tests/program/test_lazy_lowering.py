@@ -11,6 +11,7 @@ import pytest
 
 from repro.common.rng import DeterministicRng
 from repro.harness.registry import registry_spec, scenario_spec
+from repro.isa.instruction import KIND_ENDS_BB
 from repro.program.generator import generate_program
 from repro.program.profiles import SUITE_NAMES, profile_by_name
 from repro.scenario.space import ParameterSpace
@@ -137,6 +138,20 @@ class TestLaziness:
         behavior = program.cond_behaviors[term_ip]
         assert program.cond_behaviors.built[term_ip] is behavior
         assert len(program.blocks.built) == 3
+
+    @pytest.mark.parametrize("case", [*SUITE_NAMES, "server-web-30k"])
+    def test_trace_lowers_only_the_blocks_it_enters(self, case):
+        program = _program(case)
+        trace = execute_program(program, LENGTH)
+        ends = [
+            i for i, code in enumerate(trace.kinds) if KIND_ENDS_BB[code]
+        ]
+        assert ends[-1] == len(trace) - 1
+        entered = {trace.ips[0]} | {trace.next_ips[i] for i in ends[:-1]}
+        lowered = {block.entry_ip for block in program.blocks.built.values()}
+        # Resolving the final terminator may look up its successor.
+        assert lowered - entered <= {trace.next_ips[-1]}
+        assert entered <= lowered
 
     def test_short_trace_lowers_few_blocks(self):
         program = _native_server()

@@ -5,9 +5,10 @@ from dataclasses import replace
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.harness.registry import DEFAULT_LENGTH, registry_spec
 from repro.isa.instruction import InstrKind
 from repro.program.generator import generate_program
-from repro.program.profiles import profile_for_suite
+from repro.program.profiles import profile_by_name, profile_for_suite
 from repro.trace.executor import TraceExecutor, execute_program
 
 
@@ -151,3 +152,56 @@ class TestInstructionCapBoundaries:
         assert len(capped) == len(plain)
         assert capped.ips == plain.ips
         assert capped.total_uops == plain.total_uops
+
+
+#: ``Trace.content_hash()`` of fixed traces, pinned so any change to the
+#: executor's output shows up here.  Each case is (suite, registry index,
+#: static-uop override, seed override, max_uops, max_instructions).
+GOLDEN_TRACES = {
+    "specint-0": (
+        ("specint", 0, None, None, 20_000, None),
+        "80c78ae58058136fa185598cc55eba91",
+    ),
+    "sysmark-0": (
+        ("sysmark", 0, None, None, 20_000, None),
+        "4c2f9be3255ebb486e1d588a7e6d22a3",
+    ),
+    "games-0": (
+        ("games", 0, None, None, 20_000, None),
+        "d1570c0eced4cba71ee650a80ae147d0",
+    ),
+    # Loop-heavy: the games trace of perfbench's seed-1 paper_figures
+    # set, whose 12 blocks cover the whole trace.
+    "games-loops": (
+        ("games", 0, 4500, 1522111315, 20_000, None),
+        "02451ae6b304536798bfe5d528a4bb8e",
+    ),
+    "server-web-30k": (
+        ("server-web", 0, 30_000, 7005, 20_000, None),
+        "13e733814dd32dba4ff7a146d1a2c3db",
+    ),
+    "sysmark-1-capped": (
+        ("sysmark", 1, None, None, 10**9, 7777),
+        "dba0b626ea7a385408bcaa3774cac4ae",
+    ),
+    "specint-2-default-length": (
+        ("specint", 2, None, None, DEFAULT_LENGTH, None),
+        "61ff3dab3d0f0c41230057c611caccc2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TRACES))
+def test_golden_trace_hash(case):
+    (suite, index, static_uops, seed, max_uops, cap), expected = (
+        GOLDEN_TRACES[case]
+    )
+    if static_uops is None:
+        spec = registry_spec(suite, index)
+        static_uops, seed = spec.static_uops, spec.seed
+    program = generate_program(
+        profile_by_name(suite).scaled(static_uops), seed=seed,
+        name=f"{suite}-{index}", suite=suite,
+    )
+    trace = TraceExecutor(program).run(max_uops, max_instructions=cap)
+    assert trace.content_hash() == expected
